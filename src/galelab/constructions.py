@@ -399,7 +399,7 @@ def averaging_audit(
     ratio and its unrounded shadow), and through the engine on the
     materialized product gambler; any disagreement is reported.
     """
-    from .engine import run_martingale  # local import to avoid a cycle
+    from .engine import compile_gambler, run_martingale, walk  # avoid a cycle
 
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
@@ -408,22 +408,22 @@ def averaging_audit(
     buf = source.prefix_array(n)
 
     # engine route on the materialized gambler
-    engine_trace = run_martingale(combined, source, n, mode=Capital.EXACT)
+    engine_capital = run_martingale(combined, source, n, mode=Capital.EXACT).exact
 
-    # direct route: shadow-simulate the pair
-    from .engine import _compile_betting, _positional_orbit, _mu_at
+    # direct route: shadow-simulate the pair from the components' walks.  A
+    # component's walk ends at the step that bankrupts it; its realized
+    # weight is 0 from then on, which changes nothing: its capital stays 0,
+    # and the allocation ratio, once snapped to 0 (or 1), keeps its bet out
+    # of the mixture until the combined capital is 0 too.
+    weights = []
+    for g in (g1, g2):
+        compiled = compile_gambler(g)
+        states = walk(compiled, buf, n).states.tolist()
+        weights.append([compiled.bets[q].weights[int(buf[m])]
+                        for m, q in enumerate(states)]
+                       + [Fraction(0)] * (n - len(states)))
 
     audits = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
-    q1_ids, q1_index, trans1, bets1, _ = _compile_betting(g1)
-    q2_ids, q2_index, trans2, bets2, _ = _compile_betting(g2)
-    mu1 = _positional_orbit(g1)
-    mu2 = _positional_orbit(g2)
-    h1, h2 = g1.head_count, g2.head_count
-
-    pos1 = [0] * (h1 - 1)
-    pos2 = [0] * (h2 - 1)
-    q1 = q1_index[g1.initial_q]
-    q2 = q2_index[g2.initial_q]
     alpha = Fraction(1, 2)
     d = Fraction(1)
     d1 = Fraction(1)
@@ -439,10 +439,7 @@ def averaging_audit(
     ae = Fraction(eps).numerator
     be = Fraction(eps).denominator
 
-    for m in range(n):
-        sym = int(buf[m])
-        w1 = bets1[q1].weights[sym]
-        w2 = bets2[q2].weights[sym]
+    for m, (w1, w2) in enumerate(zip(*weights)):
         alpha_hat = _alpha_step(alpha, w1, w2)
         d = d * k * (alpha * w1 + (1 - alpha) * w2)
         d1 = d1 * k * w1
@@ -464,30 +461,13 @@ def averaging_audit(
         if (audits.first_sum_bound_violation is None and step >= sum_bound_start
                 and not geq_pow2_scaled(d, d1 + d2, -ae * step, be)):
             audits.first_sum_bound_violation = step
-        if (audits.first_engine_mismatch is None
-                and engine_trace.steps[m].capital.value != d):
+        if audits.first_engine_mismatch is None and engine_capital[m] != d:
             audits.first_engine_mismatch = step
 
         log_d[m] = log2_fraction(d) if d else float("-inf")
         log_d1[m] = log2_fraction(d1) if d1 else float("-inf")
         log_d2[m] = log2_fraction(d2) if d2 else float("-inf")
-
-        # advance both component state machines on their own views
-        code1 = 0
-        for i in range(h1 - 1):
-            code1 = code1 * k + int(buf[pos1[i]])
-        q1 = trans1[q1][code1 * k + sym]
-        code2 = 0
-        for i in range(h2 - 1):
-            code2 = code2 * k + int(buf[pos2[i]])
-        q2 = trans2[q2][code2 * k + sym]
         alpha = round_dyadic(alpha_hat, r)
-        bits1 = _mu_at(mu1[0], mu1[1], m)
-        for i in range(h1 - 1):
-            pos1[i] += bits1[i]
-        bits2 = _mu_at(mu2[0], mu2[1], m)
-        for i in range(h2 - 1):
-            pos2[i] += bits2[i]
 
     audits.log2_combined = log_d
     audits.log2_components = (log_d1, log_d2)
