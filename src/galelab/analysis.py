@@ -8,9 +8,9 @@ a small threshold counting as success.  Reports echo their full
 configuration and seeds, and identical configurations reproduce reports
 byte for byte.
 
-Sweep runs are independent of one another and could execute in
-parallel; the implementation runs them serially and merges records in
-sample order so the report is deterministic.
+A sweep walks its whole population of gamblers together, in one
+:func:`galelab.engine.walk_population`, and reports them in sample
+order, so the report is deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
     ProbVector,
 )
 from .constructions import average_gamblers, build_variant_gambler
-from .engine import window_exponents, run_log2_capitals
+from .engine import run_log2_capitals, walk_population, window_exponents
 from .sequences import SequenceSource, f_family, prng_source
 
 __all__ = [
@@ -326,18 +327,22 @@ def adversarial_sweep(
     """
     rng = random.Random(budget.seed)
     k = source.alphabet_size
-    records = []
-    for i in range(budget.samples):
-        spec = _sample_gambler(rng, h, k, budget, f"sample_{i:04d}")
-        records.append(_run_record(spec, source, n))
-    included = [_run_record(spec, source, n) for spec in include]
+    sampled = (_sample_gambler(rng, h, k, budget, f"sample_{i:04d}")
+               for i in range(budget.samples))
+    run = walk_population(chain(sampled, include), source, n)
+    seq_id = source.describe()
+    records = [RunRecord(label, seq_id, n, limsup, liminf, final)
+               for label, limsup, liminf, final in zip(
+                   run.labels, run.limsup_est.tolist(), run.liminf_est.tolist(),
+                   run.log2_final.tolist())]
+    sampled_count = len(records) - len(include)
     return SweepReport(
         h=h,
-        seq_id=source.describe(),
+        seq_id=seq_id,
         n=n,
         budget=budget,
-        records=records,
-        included=included,
+        records=records[:sampled_count],
+        included=records[sampled_count:],
     )
 
 

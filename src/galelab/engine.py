@@ -13,9 +13,11 @@ proxies for limsup/liminf behaviour), an exact brute-force check of the
 fair-betting identity over all short strings, and exact positional-cycle
 analysis (head speeds and the position-deviation bound).
 
-Every run is one :func:`walk` of a compiled gambler, in which only the
-betting-state recurrence is serial.  Distinct runs over shared immutable
-sources may execute concurrently.
+A single run is one :func:`walk` of a compiled gambler, in which only
+the betting-state recurrence is serial.  A population of gamblers over
+one source is one :func:`walk_population`, which moves every live
+gambler at each step with one array gather.  Distinct runs over shared
+immutable sources may execute concurrently.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import csv
 import json
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -51,6 +53,8 @@ __all__ = [
     "CompiledGambler",
     "compile_gambler",
     "walk",
+    "PopulationRun",
+    "walk_population",
     "positions",
     "run_martingale",
     "run_log2_capitals",
@@ -62,11 +66,25 @@ __all__ = [
     "check_speed_bounds",
     "write_trajectory_csv",
     "TRACE_CAP",
+    "CHUNK",
+    "WINDOW_FRAC",
 ]
 
 # full per-step traces up to this many steps; beyond it, capital is
 # recorded on a subsampled grid (memory guard)
 TRACE_CAP = 1_000_000
+
+# the trailing share of a run whose growth exponents estimate its
+# limsup and liminf
+WINDOW_FRAC = 0.1
+
+# steps per block of a population walk: a block of 500 gamblers holds
+# 128k elements, 1 MB per int64 or float64 array
+CHUNK = 256
+
+# elements per log-term gather of a single walk: its index arrays stay
+# at 32 KB however long the run
+GATHER = 4096
 
 
 class TraceStep(NamedTuple):
@@ -256,8 +274,14 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
         q = table[q][code]
         if q < 0:
             break
+    del codes
     states = np.frombuffer(states, dtype=np.int64)
-    terms = g.log_rows[states, symbols[:len(states)]]
+    flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
+    read = symbols[:len(states)]
+    terms = np.empty(len(states))
+    for i in range(0, len(states), GATHER):
+        j = i + GATHER
+        terms[i:j] = flat[states[i:j] * g.k + read[i:j]]
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
     if len(states) < n:
@@ -265,12 +289,166 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     return Walk(states, symbols, trailing, log2)
 
 
-def _walk_source(spec: GamblerSpec, source: SequenceSource, n: int):
+def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
     g = compile_gambler(spec)
     if source.alphabet_size != g.k:
         raise ValueError(
             f"source alphabet size {source.alphabet_size} != gambler's {g.k}")
+    return g
+
+
+def _walk_source(spec: GamblerSpec, source: SequenceSource, n: int):
+    g = _compile_for(spec, source)
     return g, walk(g, source.prefix_array(n), n)
+
+
+# ---------------------------------------------------------------------------
+# population walks
+# ---------------------------------------------------------------------------
+
+class PopulationRun(NamedTuple):
+    """Per-gambler outcome of a population walk, in input order: the
+    label, the final log2 capital and the window growth exponents that
+    :func:`window_exponents` gives for the gambler's own run."""
+
+    labels: list[str]
+    log2_final: np.ndarray
+    limsup_est: np.ndarray
+    liminf_est: np.ndarray
+
+
+class _Orbits(NamedTuple):
+    """Positional orbits as padded tables, one row per orbit.
+
+    ``sums[o, r]`` is the sum of the first ``r`` movement bits of orbit
+    ``o`` (preperiod then cycle), ``pre``/``cyc`` its preperiod and cycle
+    lengths, ``per_cycle`` its advances per cycle and ``powers`` the
+    place values of its trailing reads in a code.  Orbits with fewer
+    heads are padded with heads that never move and weigh nothing.
+    """
+
+    sums: np.ndarray
+    pre: np.ndarray
+    cyc: np.ndarray
+    per_cycle: np.ndarray
+    powers: np.ndarray
+
+    @classmethod
+    def build(cls, orbits: list[tuple[int, np.ndarray, np.ndarray]], k: int) -> _Orbits:
+        count, width = len(orbits), max(h for h, _, _ in orbits) - 1
+        length = max(len(pre) + len(cyc) for _, pre, cyc in orbits)
+        t = cls(sums=np.zeros((count, length + 1, width), dtype=np.int64),
+                pre=np.zeros(count, dtype=np.int64),
+                cyc=np.zeros(count, dtype=np.int64),
+                per_cycle=np.zeros((count, width), dtype=np.int64),
+                powers=np.zeros((count, width), dtype=np.int64))
+        for o, (h, pre, cyc) in enumerate(orbits):
+            moves = np.concatenate([pre, cyc])
+            t.sums[o, 1:len(moves) + 1, :h - 1] = np.cumsum(moves, axis=0)
+            t.pre[o], t.cyc[o] = len(pre), len(cyc)
+            t.per_cycle[o, :h - 1] = cyc.sum(0)
+            t.powers[o, :h - 1] = k ** np.arange(h - 1, 0, -1)
+        return t
+
+    def select(self, rows: np.ndarray) -> _Orbits:
+        return self._make(a[rows] for a in self)
+
+    def codes(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Scanned codes of steps ``start..stop-1``, one column per orbit.
+
+        The trailing positions before step ``m`` are the movement bits of
+        the preperiod, of the whole cycles and of a partial cycle, read
+        off ``sums``; the codes are array gathers, as in :func:`walk`.
+        """
+        m = np.arange(start, stop)[:, None]
+        past = m >= self.pre
+        row = np.where(past, self.pre + (m - self.pre) % self.cyc, m)
+        cycles = np.where(past, (m - self.pre) // self.cyc, 0)
+        trailing = (self.sums[np.arange(len(self.sums)), row]
+                    + cycles[..., None] * self.per_cycle)
+        return (buf[trailing] * self.powers).sum(-1) + buf[start:stop, None]
+
+
+def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
+                    n: int) -> PopulationRun:
+    """Walk many gamblers together over the first ``n`` symbols of a source.
+
+    Each gambler is compiled as it is drawn from ``specs`` (an invalid one,
+    or one over another alphabet, raises ``ValueError`` as a single run
+    does) and only its table rows and label are kept.  Every betting
+    state is a row of one flat table, and one shared absorbing row stands
+    for bankruptcy.  A row's entries are the offsets of the next rows, so
+    one step of the whole live population is one add and one gather,
+    ``q = next_flat[q + code]``, and the log2 bet terms are a gather at
+    the same indices.  Gamblers with one positional orbit read the same
+    codes, which are computed once per orbit and per ``CHUNK`` steps.
+    Each chunk's log2 capitals are a sequential cumulative sum seeded
+    with the carried capital, so every value, and hence every exponent,
+    is the float that :func:`walk` and :func:`window_exponents` give.
+    Bankrupt gamblers leave the population at the end of a chunk.
+    """
+    k = source.alphabet_size
+    labels: list[str] = []
+    next_flat, log_flat, start, init = array("q"), array("d"), array("q"), array("d")
+    orbits: dict[tuple, tuple[int, tuple]] = {}
+    orbit_of, widest = array("q"), k
+    for spec in specs:
+        g = _compile_for(spec, source)
+        width = k ** g.head_count  # codes per betting state
+        base, widest = len(next_flat), max(widest, width)
+        for row in g.next_state:
+            next_flat.extend(-1 if t < 0 else base + t * width for t in row)
+        log_flat.extend(np.tile(g.log_rows, width // k).ravel().tolist())
+        key = (g.head_count, g.mu_pre.tobytes(), g.mu_cyc.tobytes())
+        orbit_of.append(orbits.setdefault(
+            key, (len(orbits), (g.head_count, g.mu_pre, g.mu_cyc)))[0])
+        start.append(base + g.q0 * width)
+        init.append(log2_fraction(g.initial))
+        labels.append(spec.label())
+    out = [np.full(len(labels), BANKRUPT_LOG2) for _ in range(3)]
+    if not labels:
+        return PopulationRun(labels, *out)
+    if n <= 0:
+        raise ValueError("empty trace")
+    log2_final, limsup, liminf = out
+    bankrupt = len(next_flat)
+    nxt = np.array(next_flat, dtype=np.int64)
+    nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
+    logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
+    all_orbits = _Orbits.build([orbit for _, orbit in orbits.values()], k)
+    orbit_of = np.array(orbit_of, dtype=np.int64)
+    buf = source.prefix_array(n)
+    window = n - max(1, int(n * WINDOW_FRAC))  # as in window_exponents
+
+    live = np.arange(len(labels))
+    q, carry = np.array(start, dtype=np.int64), np.array(init)
+    hi, lo = np.full(len(live), -math.inf), np.full(len(live), math.inf)
+    used, column = np.unique(orbit_of, return_inverse=True)
+    for m0 in range(0, n, CHUNK):
+        m1 = min(m0 + CHUNK, n)
+        idx = all_orbits.select(used).codes(buf, m0, m1)[:, column]
+        for row in idx:  # row becomes the flat index q + code of its step
+            row += q
+            q = nxt[row]
+        caps = logs[idx]
+        caps[0] += carry
+        np.cumsum(caps, axis=0, out=caps)
+        carry = caps[-1].copy()
+        if m1 > window:
+            ratios = caps[max(window - m0, 0):]
+            ratios /= (np.arange(max(window, m0) + 1, m1 + 1, dtype=np.float64)
+                       * math.log2(k))[:, None]
+            np.maximum(hi, ratios.max(0), out=hi)
+            np.minimum(lo, ratios.min(0), out=lo)
+        alive = q != bankrupt
+        if not alive.all():  # a bankrupt run's last capital, so its liminf, is -inf
+            limsup[live[~alive]] = hi[~alive]
+            live, q, carry, hi, lo = (a[alive] for a in (live, q, carry, hi, lo))
+            if not len(live):
+                break
+            used, column = np.unique(orbit_of[live], return_inverse=True)
+    log2_final[live], limsup[live], liminf[live] = carry, hi, lo
+    return PopulationRun(labels, log2_final, limsup, liminf)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +515,7 @@ def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.n
 
 def window_exponents(log2_caps: np.ndarray, k: int,
                      prefix_lengths: np.ndarray | None = None,
-                     window_frac: float = 0.1) -> ExponentEstimate:
+                     window_frac: float = WINDOW_FRAC) -> ExponentEstimate:
     """Max/min of ``log_k(capital)/n`` over the trailing window.
 
     The window is the final ``window_frac`` of the trace, which discards

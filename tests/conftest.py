@@ -45,6 +45,19 @@ def two_state_swing_gambler() -> GamblerSpec:
     )
 
 
+def overbetting_gambler() -> GamblerSpec:
+    """One state betting 3/4 on each symbol: bets sum to 3/2."""
+    return GamblerSpec(
+        alphabet=Alphabet.from_size(2),
+        head_count=1,
+        positional={"t0": PositionalState("t0", ())},
+        betting={"q0": BettingState(
+            ProbVector((Fraction(3, 4), Fraction(3, 4))), ("q0", "q0"))},
+        initial_t="t0",
+        initial_q="q0",
+    )
+
+
 def random_valid_gambler(seed: int, h: int = 1) -> GamblerSpec:
     """Deterministic pseudo-random gambler; always structurally valid."""
     rng = random.Random(seed)

@@ -45,6 +45,8 @@ GOLDEN = {
         "1555233f5b63d6e25839eea187f64c682208c8703b91d5572145cd2f2d47fd7a",
     "sweep_h1":
         "94a63eab9896f7101595cb3feff4afe77492013bc436ccecd48220b7ab62187a",
+    "sweep_h2":
+        "3ca521e79263f75fd9ff58e6dfd72ed2bae0089af02119885f5deb617d5f6098",
 }
 
 SIMULATE = {
@@ -104,6 +106,15 @@ def test_sweep_jsonl_digest(workdir):
                      "--rng-seed", "1", "--samples", "60",
                      "--include", "parity:h=1", "--out", "s.jsonl"]) == 0
     assert sha(workdir / "s.jsonl") == GOLDEN["sweep_h1"]
+
+
+def test_sweep_h2_jsonl_digest(workdir):
+    """Two-head samples, whose positional orbits differ from gambler to
+    gambler, alongside the three-head parity winner."""
+    assert cli.main(["sweep", "--h", "2", "--n", "5000", "--seq-seed", "1",
+                     "--rng-seed", "1", "--samples", "60",
+                     "--include", "parity:h=2", "--out", "s.jsonl"]) == 0
+    assert sha(workdir / "s.jsonl") == GOLDEN["sweep_h2"]
 
 
 def test_batch_log2_capitals_digest():

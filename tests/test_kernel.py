@@ -8,7 +8,7 @@ match it exactly: the same betting states, the same trailing positions
 and bit-identical log2 capitals.
 """
 
-from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from galelab.core import (
     ProbVector,
     encode_symbol_vector,
 )
-from galelab.constructions import single_minded_gambler
+from galelab.constructions import build_parity_gambler, single_minded_gambler
 from galelab.engine import (
     check_speed_bounds,
     compile_gambler,
@@ -34,7 +34,7 @@ from galelab.engine import (
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
-from conftest import random_valid_gambler
+from conftest import overbetting_gambler, random_valid_gambler
 
 
 def reference_walk(spec: GamblerSpec, buf, n: int):
@@ -96,6 +96,23 @@ def test_walk_stops_at_the_bankrupting_step():
     assert np.all(w.log2 == float("-inf"))
 
 
+def test_walk_memory_peak():
+    """A 1e5-step walk of the two-head parity:h=1 winner peaks at little
+    more than its own result (states, trailing positions, log2 capitals:
+    0.8 MB each): the codes are freed after the loop and the log terms
+    are gathered in chunks."""
+    g = compile_gambler(build_parity_gambler(1))
+    buf = f_family(1, "F", prng_source(7)).prefix_array(100_000)
+    tracemalloc.start()
+    try:
+        w = walk(g, buf, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.head_count == 2 and len(w.states) == 100_000
+    assert peak <= 2.7 * 2**20
+
+
 def test_batch_and_trace_runners_agree_bit_for_bit():
     src = f_family(2, "F", prng_source(6))
     for h in (1, 2, 3):
@@ -122,19 +139,6 @@ def test_trace_steps_are_built_on_demand():
 # ---------------------------------------------------------------------------
 # validation at compile time
 # ---------------------------------------------------------------------------
-
-def overbetting_gambler() -> GamblerSpec:
-    """One state betting 3/4 on each symbol: bets sum to 3/2."""
-    return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
-        head_count=1,
-        positional={"t0": PositionalState("t0", ())},
-        betting={"q0": BettingState(
-            ProbVector((Fraction(3, 4), Fraction(3, 4))), ("q0", "q0"))},
-        initial_t="t0",
-        initial_q="q0",
-    )
-
 
 @pytest.mark.parametrize("run", [run_martingale, run_log2_capitals])
 def test_runs_reject_an_invalid_gambler(run):
