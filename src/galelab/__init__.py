@@ -9,15 +9,12 @@ the log domain.
 
 from .core import (
     Alphabet,
-    BINARY,
-    Capital,
     GamblerSpec,
     ProbVector,
     PositionalState,
     BettingState,
     ValidationReport,
     Violation,
-    capital_mul_bet,
     validate_gambler,
     gambler_to_json,
     gambler_from_json,
@@ -32,7 +29,6 @@ from .sequences import (
     expand_index,
     f_family,
     max_supported_h,
-    multiplicity,
     nth_prime,
     prng_source,
     read_sequence,
@@ -48,14 +44,13 @@ from .engine import (
     positions,
     run_martingale,
     run_log2_capitals,
-    sgale_value,
+    sgale_log2,
     success_exponent,
     window_exponents,
     write_trajectory_csv,
 )
 from .constructions import (
     AveragingAudit,
-    DyadicGrid,
     average_gamblers,
     averaging_audit,
     build_parity_gambler,

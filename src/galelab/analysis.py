@@ -170,17 +170,16 @@ def estimate_predim_upper(
     """
     entries = []
     for spec in gamblers:
-        caps = run_log2_capitals(spec, source, n)
-        est = window_exponents(caps, spec.k)
-        bankrupt = est.limsup_est == BANKRUPT_LOG2
-        upper = 1.0 if bankrupt else 1.0 - est.limsup_est
+        rec = _run_record(spec, source, n)
+        bankrupt = rec.exponent == BANKRUPT_LOG2
+        upper = 1.0 if bankrupt else 1.0 - rec.exponent
         entries.append(DimensionEntry(
-            gambler_id=spec.label(),
+            gambler_id=rec.gambler_id,
             head_count=spec.head_count,
-            exponent=est.limsup_est,
-            liminf=est.liminf_est,
+            exponent=rec.exponent,
+            liminf=rec.liminf,
             upper_bound=upper,
-            best_s=None if bankrupt else 1.0 - est.limsup_est,
+            best_s=None if bankrupt else upper,
             bankrupt=bankrupt,
         ))
     return DimensionReport(seq_id=source.describe(), n=n, entries=entries)

@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     Alphabet,
     BettingState,
-    Capital,
     GamblerSpec,
     PositionalState,
     ProbVector,
@@ -51,7 +50,6 @@ from .sequences import (
 )
 
 __all__ = [
-    "DyadicGrid",
     "round_dyadic",
     "rounding_resolution",
     "build_parity_gambler",
@@ -65,31 +63,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# dyadic grid and rounding
+# dyadic rounding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """The ``2**r + 1`` rationals ``z / 2**r`` in [0, 1].
-
-    Closed under :func:`round_dyadic` at the same resolution.
-    """
-
-    r: int
-
-    def points(self) -> tuple[Fraction, ...]:
-        d = 2 ** self.r
-        return tuple(Fraction(z, d) for z in range(d + 1))
-
-    def __contains__(self, x: Fraction) -> bool:
-        return 0 <= x <= 1 and (x * 2 ** self.r).denominator == 1
-
-    def round(self, x: Fraction) -> Fraction:
-        return round_dyadic(x, self.r)
-
-
 def round_dyadic(x: Fraction, r: int) -> Fraction:
-    """Snap ``x`` in [0, 1] to the r-dyadic grid, rounding toward 1/2."""
+    """Snap ``x`` in [0, 1] to the r-dyadic grid, rounding toward 1/2.
+
+    The grid is the ``2**r + 1`` rationals ``z / 2**r`` in [0, 1], each of
+    which rounds to itself.
+    """
     if not 0 <= x <= 1:
         raise ValueError(f"{x} outside [0, 1]")
     if r < 1:
@@ -408,7 +390,7 @@ def averaging_audit(
     buf = source.prefix_array(n)
 
     # engine route on the materialized gambler
-    engine_capital = run_martingale(combined, source, n, mode=Capital.EXACT).exact
+    engine_capital = run_martingale(combined, source, n, mode="exact").exact
 
     # direct route: shadow-simulate the pair from the components' walks.  A
     # component's walk ends at the step that bankrupts it; its realized
@@ -464,9 +446,9 @@ def averaging_audit(
         if audits.first_engine_mismatch is None and engine_capital[m] != d:
             audits.first_engine_mismatch = step
 
-        log_d[m] = log2_fraction(d) if d else float("-inf")
-        log_d1[m] = log2_fraction(d1) if d1 else float("-inf")
-        log_d2[m] = log2_fraction(d2) if d2 else float("-inf")
+        log_d[m] = log2_fraction(d)
+        log_d1[m] = log2_fraction(d1)
+        log_d2[m] = log2_fraction(d2)
         alpha = round_dyadic(alpha_hat, r)
 
     audits.log2_combined = log_d

@@ -10,13 +10,14 @@ multiplication rule: betting weight ``p`` on the realized symbol of a
 size-``k`` alphabet multiplies the capital by ``k * p``.
 
 This module holds the passive data types (alphabet, bet distributions,
-the gambler seven-tuple, capital values), their structural validation,
-and the JSON wire format used to persist gamblers.  Simulation lives in
+the gambler seven-tuple), their structural validation, exact rational
+helpers with the base-2 logarithm that capital is reported in, and the
+JSON wire format used to persist gamblers.  Simulation lives in
 :mod:`galelab.engine`; concrete winning gamblers are built in
 :mod:`galelab.constructions`.
 
 All types are immutable after construction and safe to share between
-threads; capital values are plain values.
+threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "Alphabet",
-    "BINARY",
     "ProbVector",
     "PositionalState",
     "BettingState",
@@ -37,8 +37,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "validate_gambler",
-    "Capital",
-    "capital_mul_bet",
     "BANKRUPT_LOG2",
     "encode_symbol_vector",
     "decode_symbol_code",
@@ -53,6 +51,7 @@ __all__ = [
     "load_gambler",
 ]
 
+# the log2 of capital 0: bankruptcy, which no fair bet ever undoes
 BANKRUPT_LOG2 = float("-inf")
 
 
@@ -77,7 +76,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def log2_fraction(x: Fraction) -> float:
-    """Base-2 logarithm of a positive rational.
+    """Base-2 logarithm of a non-negative rational; ``BANKRUPT_LOG2`` at 0.
 
     Exact (an integer float) whenever numerator and denominator are both
     powers of two.  Otherwise the value is split into an exact integer
@@ -87,7 +86,9 @@ def log2_fraction(x: Fraction) -> float:
     """
     num, den = x.numerator, x.denominator
     if num <= 0:
-        raise ValueError("log2 of a non-positive rational")
+        if num == 0:
+            return BANKRUPT_LOG2
+        raise ValueError("log2 of a negative rational")
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return float(num.bit_length() - den.bit_length())
     if num < den:
@@ -182,9 +183,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-
-BINARY = Alphabet.from_size(2)
 
 
 @dataclass(frozen=True)
@@ -403,93 +401,6 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
         bad.append(Violation("initial", f"q0 {spec.initial_q!r} unknown"))
 
     return ValidationReport(bad)
-
-
-# ---------------------------------------------------------------------------
-# capital
-# ---------------------------------------------------------------------------
-
-class Capital:
-    """Gambler wealth in one of two representations.
-
-    Exact mode holds a non-negative rational and is bit-exact at any
-    horizon but can grow to Theta(n) bits after n steps; log2 mode holds
-    the base-2 logarithm as a float, with ``-inf`` as the absorbing
-    bankrupt sentinel (the logarithm of exact capital 0).  Conversion
-    from exact to log2 is exact for powers of two.
-    """
-
-    __slots__ = ("mode", "value")
-
-    EXACT = "exact"
-    LOG2 = "log2"
-
-    def __init__(self, mode: str, value):
-        if mode not in (Capital.EXACT, Capital.LOG2):
-            raise ValueError(f"unknown capital mode {mode!r}")
-        self.mode = mode
-        self.value = value
-
-    @classmethod
-    def exact(cls, value) -> "Capital":
-        v = Fraction(value)
-        if v < 0:
-            raise ValueError("capital cannot be negative")
-        return cls(cls.EXACT, v)
-
-    @classmethod
-    def from_log2(cls, value: float) -> "Capital":
-        return cls(cls.LOG2, float(value))
-
-    @classmethod
-    def start(cls, initial: Fraction, mode: str) -> "Capital":
-        if mode == cls.EXACT:
-            return cls.exact(initial)
-        return cls.from_log2(log2_fraction(initial))
-
-    @property
-    def is_bankrupt(self) -> bool:
-        if self.mode == Capital.EXACT:
-            return self.value == 0
-        return self.value == BANKRUPT_LOG2
-
-    def log2(self) -> float:
-        """Base-2 log of the capital; ``-inf`` when bankrupt."""
-        if self.mode == Capital.LOG2:
-            return self.value
-        if self.value == 0:
-            return BANKRUPT_LOG2
-        return log2_fraction(self.value)
-
-    def exact_value(self) -> Fraction:
-        if self.mode != Capital.EXACT:
-            raise ValueError("capital is in log2 mode; exact value unavailable")
-        return self.value
-
-    def mul_bet(self, k: int, p: Fraction) -> "Capital":
-        """Apply one fair bet: weight ``p`` realized on a size-``k`` alphabet."""
-        if p < 0 or p > 1:
-            raise ValueError(f"bet weight {p} outside [0, 1]")
-        if self.mode == Capital.EXACT:
-            return Capital(Capital.EXACT, self.value * k * p)
-        if self.value == BANKRUPT_LOG2 or p == 0:
-            return Capital(Capital.LOG2, BANKRUPT_LOG2)
-        return Capital(Capital.LOG2, self.value + log2_fraction(Fraction(k) * p))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Capital) and self.mode == other.mode
-                and self.value == other.value)
-
-    def __repr__(self) -> str:
-        if self.mode == Capital.EXACT:
-            return f"Capital.exact({self.value})"
-        return f"Capital.from_log2({self.value})"
-
-
-def capital_mul_bet(c: Capital, k: int, p: Fraction) -> Capital:
-    """Multiply capital by ``k * p``; bankrupt is absorbing and ``p = 0``
-    on the realized symbol bankrupts permanently."""
-    return c.mul_bet(k, p)
 
 
 # ---------------------------------------------------------------------------

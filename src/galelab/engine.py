@@ -7,9 +7,9 @@ placed on; trailing heads sit at or behind the leading head and their
 reads feed the *next* state, not the current bet.  Capital follows the
 fair rule ``capital *= k * bet(realized symbol)``.
 
-Besides the simulator this module provides the scale-``s`` reweighting
-of capital, sliding-window growth-exponent estimates (finite-horizon
-proxies for limsup/liminf behaviour), an exact brute-force check of the
+Besides the simulator this module provides the log2 of the scale-``s``
+gale ``k**((s-1)*n) * d(w)``, sliding-window growth-exponent estimates
+(finite-horizon proxies for limsup/liminf behaviour), an exact brute-force check of the
 fair-betting identity over all short strings, and exact positional-cycle
 analysis (head speeds and the position-deviation bound).
 
@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     BANKRUPT_LOG2,
-    Capital,
     GamblerSpec,
     ProbVector,
     log2_fraction,
@@ -46,6 +45,7 @@ from .core import (
 from .sequences import SequenceSource
 
 __all__ = [
+    "Capital",
     "TraceStep",
     "RunTrace",
     "SpeedProfile",
@@ -60,7 +60,7 @@ __all__ = [
     "run_log2_capitals",
     "window_exponents",
     "success_exponent",
-    "sgale_value",
+    "sgale_log2",
     "check_martingale_property",
     "measure_speeds",
     "check_speed_bounds",
@@ -87,11 +87,33 @@ CHUNK = 256
 GATHER = 4096
 
 
+@dataclass(frozen=True)
+class Capital:
+    """A capital value: its base-2 log ``bits`` (``BANKRUPT_LOG2`` once
+    bankrupt) and, from an exact-mode run, the rational ``exact`` itself,
+    of which ``bits`` is then ``log2_fraction(exact)``."""
+
+    bits: float
+    exact: Fraction | None = None
+
+    def log2(self) -> float:
+        return self.bits
+
+    def exact_value(self) -> Fraction:
+        if self.exact is None:
+            raise ValueError("capital is in log2 mode; exact value unavailable")
+        return self.exact
+
+    @property
+    def is_bankrupt(self) -> bool:
+        return self.bits == BANKRUPT_LOG2
+
+
 class TraceStep(NamedTuple):
-    """One recorded step; ``betting_state`` and ``bet`` are None once bankrupt."""
+    """One recorded step, at leading position ``n``; ``betting_state`` and
+    ``bet`` are None once bankrupt."""
 
     n: int
-    leading_pos: int
     trailing_positions: tuple[int, ...]
     betting_state: str | None
     bet: ProbVector | None
@@ -114,7 +136,6 @@ class RunTrace:
     gambler: str
     source: str
     k: int
-    mode: str
     n: int
     final_capital: Capital
     recorded_every: int
@@ -130,8 +151,7 @@ class RunTrace:
     def log2_capitals(self) -> np.ndarray:
         if self.exact is None:
             return self.rows.log2
-        return np.array([log2_fraction(c) if c else BANKRUPT_LOG2 for c in self.exact],
-                        dtype=np.float64)
+        return np.array([log2_fraction(c) for c in self.exact], dtype=np.float64)
 
     def all_in_win_count(self) -> int:
         """Number of steps whose full-capital bet was on the realized symbol."""
@@ -152,9 +172,9 @@ class TraceSteps(Sequence):
     def __getitem__(self, i: int) -> TraceStep:
         t, g = self.trace, self.trace.compiled
         m, q = int(t.step[i]), int(t.rows.states[i])
-        cap = (Capital(Capital.LOG2, float(t.rows.log2[i])) if t.exact is None
-               else Capital(Capital.EXACT, t.exact[i]))
-        return TraceStep(m, m, tuple(t.rows.trailing[i].tolist()),
+        cap = (Capital(float(t.rows.log2[i])) if t.exact is None
+               else Capital(log2_fraction(t.exact[i]), t.exact[i]))
+        return TraceStep(m, tuple(t.rows.trailing[i].tolist()),
                          g.state_ids[q] if q >= 0 else None,
                          g.bets[q] if q >= 0 else None, int(t.rows.symbols[i]), cap)
 
@@ -233,8 +253,8 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
     next_state = [[-1 if bets.weights[code % k] == 0 else t
                    for code, t in enumerate(row)] for row, bets in zip(trans, bet_rows)]
-    log_rows = np.array([[BANKRUPT_LOG2 if w == 0 else log2_fraction(k * w)
-                          for w in bets.weights] for bets in bet_rows])
+    log_rows = np.array([[log2_fraction(k * w) for w in bets.weights]
+                         for bets in bet_rows])
     return CompiledGambler(k, spec.head_count, spec.initial_capital,
                            q_index[spec.initial_q], q_ids, bet_rows, next_state,
                            log_rows, *_positional_orbit(spec))
@@ -469,7 +489,7 @@ def positions(spec: GamblerSpec, n: int) -> tuple[int, ...]:
 
 
 def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
-                   mode: str = Capital.LOG2) -> RunTrace:
+                   mode: str = "log2") -> RunTrace:
     """Simulate ``n`` steps and return the full trace.
 
     The final capital is the martingale value of the scanned prefix.  In
@@ -478,24 +498,24 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
     base-2 logs and is the default for long runs; bankruptcy is the
     absorbing ``-inf``.  An invalid gambler raises ``ValueError``.
     """
-    if mode not in (Capital.EXACT, Capital.LOG2):
+    if mode not in ("exact", "log2"):
         raise ValueError(f"unknown capital mode {mode!r}")
     g, w = _walk_source(spec, source, n)
     every = 1 if n <= TRACE_CAP else -(-n // TRACE_CAP)
     step = np.append(np.arange(0, n - 1, every), n - 1) if n else np.arange(0)
     states = np.append(w.states, np.full(n - len(w.states), -1))
     rows = Walk(states[step], w.symbols[step], w.trailing[step], w.log2[step])
-    final = Capital(Capital.LOG2, float(w.log2[-1]) if n else log2_fraction(g.initial))
+    final = Capital(float(w.log2[-1]) if n else log2_fraction(g.initial))
     exact = None
-    if mode == Capital.EXACT:
+    if mode == "exact":
         kw = [[g.k * p for p in row.weights] for row in g.bets]
         walked = zip(w.states.tolist(), w.symbols.tolist())
         caps = list(accumulate((kw[q][s] for q, s in walked), mul, initial=g.initial))
         caps += [Fraction(0)] * (n + 1 - len(caps))
         exact = [caps[m + 1] for m in step.tolist()]
-        final = Capital(Capital.EXACT, caps[-1])
-    return RunTrace(gambler=spec.label(), source=source.describe(), k=g.k, mode=mode,
-                    n=n, final_capital=final, recorded_every=every, compiled=g,
+        final = Capital(log2_fraction(caps[-1]), caps[-1])
+    return RunTrace(gambler=spec.label(), source=source.describe(), k=g.k, n=n,
+                    final_capital=final, recorded_every=every, compiled=g,
                     step=step, rows=rows, exact=exact)
 
 
@@ -514,11 +534,10 @@ def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.n
 # ---------------------------------------------------------------------------
 
 def window_exponents(log2_caps: np.ndarray, k: int,
-                     prefix_lengths: np.ndarray | None = None,
-                     window_frac: float = WINDOW_FRAC) -> ExponentEstimate:
+                     prefix_lengths: np.ndarray | None = None) -> ExponentEstimate:
     """Max/min of ``log_k(capital)/n`` over the trailing window.
 
-    The window is the final ``window_frac`` of the trace, which discards
+    The window is the final ``WINDOW_FRAC`` of the trace, which discards
     start-up transients; the max estimates the limsup and the min the
     liminf of the growth exponent.  A window that is entirely bankrupt
     yields the ``-inf`` sentinel in both slots.
@@ -528,14 +547,14 @@ def window_exponents(log2_caps: np.ndarray, k: int,
         raise ValueError("empty trace")
     if prefix_lengths is None:
         prefix_lengths = np.arange(1, m + 1, dtype=np.float64)
-    start = m - max(1, int(m * window_frac))
+    start = m - max(1, int(m * WINDOW_FRAC))
     denom = prefix_lengths[start:] * math.log2(k)
     with np.errstate(invalid="ignore"):
         ratios = log2_caps[start:] / denom
     return ExponentEstimate(float(np.max(ratios)), float(np.min(ratios)))
 
 
-def success_exponent(trace: RunTrace, k: int) -> ExponentEstimate:
+def success_exponent(trace: RunTrace) -> ExponentEstimate:
     """Sliding-window growth-exponent estimates for a trace.
 
     ``1 - limsup_est`` is the empirical upper bound on the dimension-like
@@ -544,28 +563,21 @@ def success_exponent(trace: RunTrace, k: int) -> ExponentEstimate:
     """
     if len(trace.steps) < 100:
         raise ValueError("trace too short for exponent estimation (need >= 100)")
-    return window_exponents(trace.log2_capitals(), k, trace.step + 1.0)
+    return window_exponents(trace.log2_capitals(), trace.k, trace.step + 1.0)
 
 
-def sgale_value(c: Capital, s: Fraction, n: int, k: int) -> Capital:
-    """Reweight a capital by ``k**((s-1)*n)``.
+def sgale_log2(log2_caps, lengths: Iterable[int], s: Fraction, k: int) -> np.ndarray:
+    """Log2 of the scale-``s`` gale ``k**((s-1)*n) * d(w)`` at each prefix
+    length ``n``, from the log2 capitals ``d(w)`` of those prefixes.
 
-    ``s = 1`` is the identity (plain martingale).  Exact mode is possible
-    only when ``(s-1)*n`` is an integer; otherwise use log2 mode, where
-    the reweighting is a float addition.
+    ``s = 1`` is the identity (the plain martingale) and bankrupt stays
+    ``-inf``.  The float of the rational exponent ``(s - 1) * n`` comes
+    from correctly rounded integer division of Python ints.
     """
-    s = Fraction(s)
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    exponent = (s - 1) * n
-    if c.mode == Capital.EXACT:
-        if exponent.denominator != 1:
-            raise ValueError(
-                f"k**({exponent}) is not rational; run in log2 mode instead")
-        return Capital(Capital.EXACT, c.value * Fraction(k) ** int(exponent))
-    if c.value == BANKRUPT_LOG2:
-        return Capital(Capital.LOG2, BANKRUPT_LOG2)
-    return Capital(Capital.LOG2, c.value + float(exponent) * math.log2(k))
+    e = Fraction(s) - 1
+    shift = np.array([e.numerator * n / e.denominator for n in lengths],
+                     dtype=np.float64)
+    return np.asarray(log2_caps, dtype=np.float64) + shift * math.log2(k)
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +667,8 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
 
     Bankrupt capital is the literal string ``-inf``.  The producing
     config, when given, is embedded as a leading comment line so the file
-    records how to reproduce it.  A scale-``s`` value is
-    ``log2_capital + float((s - 1) * n) * log2(k)``; the float of the
-    rational exponent comes from correctly rounded integer division.
+    records how to reproduce it.  The scale-``s`` columns are
+    :func:`sgale_log2` of the ``log2_capital`` column.
     """
     if config is not None:
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
@@ -666,10 +677,6 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     lengths = (trace.step + 1).tolist()
     log2 = trace.log2_capitals()
     columns = [lengths, log2.tolist()]
-    for _, s in s_values:
-        e = Fraction(s) - 1
-        shift = np.array([e.numerator * n / e.denominator for n in lengths],
-                         dtype=np.float64)
-        columns.append((log2 + shift * math.log2(trace.k)).tolist())
+    columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]
     row = ",".join(["{!r}"] * len(columns)) + "\n"
     out.writelines(map(row.format, *columns))

@@ -38,10 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "PRIMES",
     "nth_prime",
-    "multiplicity",
     "max_supported_h",
     "VARIANTS",
     "parity_prime_indices",
@@ -81,44 +79,22 @@ def max_prefix_cap() -> int:
 # primes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Ascending table of the first primes, 1-indexed (p_1 = 2)."""
-
-    primes: tuple[int, ...]
-
-    def nth(self, i: int) -> int:
-        if i < 1:
-            raise ValueError("prime indices start at 1")
-        if i > len(self.primes):
-            raise ValueError(
-                f"prime index {i} exceeds table size {len(self.primes)}")
-        return self.primes[i - 1]
-
-
-PRIMES = PrimeTable((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+# the first primes in ascending order; p_i is PRIMES[i - 1]
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime: p_1 = 2, p_2 = 3, and so on."""
-    return PRIMES.nth(i)
+    if i < 1:
+        raise ValueError("prime indices start at 1")
+    if i > len(PRIMES):
+        raise ValueError(f"prime index {i} exceeds table size {len(PRIMES)}")
+    return PRIMES[i - 1]
 
 
 def max_supported_h() -> int:
     """Largest head parameter h for which p_{h+1} is tabled."""
-    return len(PRIMES.primes) - 1
-
-
-def multiplicity(i: int, x: int) -> int:
-    """Largest k with p_i**k dividing x (x >= 1)."""
-    if x < 1:
-        raise ValueError("multiplicity is defined for x >= 1")
-    p = nth_prime(i)
-    k = 0
-    while x % p == 0:
-        x //= p
-        k += 1
-    return k
+    return len(PRIMES) - 1
 
 
 def parity_prime_indices(h: int, variant: str) -> list[int]:
@@ -201,9 +177,6 @@ class SequenceSource:
         view = self._buf[:n]
         view.flags.writeable = False
         return view
-
-    def prefix_bits(self, n: int) -> list[int]:
-        return [int(v) for v in self.prefix_array(n)]
 
 
 class PrngSource(SequenceSource):

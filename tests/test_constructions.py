@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galelab.constructions import (
-    DyadicGrid,
     average_gamblers,
     averaging_audit,
     build_parity_gambler,
@@ -37,6 +36,10 @@ from galelab.sequences import f_family, nth_prime, prng_source
 def test_round_dyadic_fixed_points_and_examples():
     for r in range(1, 10):
         assert round_dyadic(Fraction(1, 2), r) == Fraction(1, 2)
+    # the grid is closed: each of its 2**r + 1 points rounds to itself
+    for r in (1, 3, 6):
+        for z in range(2 ** r + 1):
+            assert round_dyadic(Fraction(z, 2 ** r), r) == Fraction(z, 2 ** r)
     assert round_dyadic(Fraction(3, 10), 6) == Fraction(20, 64)
     assert round_dyadic(Fraction(7, 10), 6) == Fraction(44, 64)
 
@@ -48,8 +51,7 @@ unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=997)
 @given(x=unit_rationals, r=st.integers(1, 12))
 def test_round_dyadic_properties(x, r):
     out = round_dyadic(x, r)
-    grid = DyadicGrid(r)
-    assert out in grid
+    assert 0 <= out <= 1 and (out * 2 ** r).denominator == 1  # on the r-dyadic grid
     assert abs(out - x) < Fraction(1, 2 ** r)
     if x <= Fraction(1, 2):
         assert x <= out <= Fraction(1, 2) or out == x  # rounds up toward 1/2
@@ -57,13 +59,6 @@ def test_round_dyadic_properties(x, r):
     else:
         assert out <= x
     assert round_dyadic(out, r) == out
-
-
-def test_dyadic_grid_size_and_closure():
-    grid = DyadicGrid(3)
-    pts = grid.points()
-    assert len(pts) == 2 ** 3 + 1
-    assert all(grid.round(p) == p for p in pts)
 
 
 def test_rounding_resolution_examples():

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galelab.core import (
+    BANKRUPT_LOG2,
     Alphabet,
     BettingState,
-    Capital,
     GamblerSpec,
     PositionalState,
     ProbVector,
-    capital_mul_bet,
     decode_symbol_code,
     encode_symbol_vector,
     format_rational,
@@ -28,9 +27,15 @@ from galelab.core import (
     save_gambler,
     validate_gambler,
 )
-from galelab.constructions import build_parity_gambler
+from galelab.constructions import (
+    build_parity_gambler,
+    single_minded_gambler,
+    uniform_gambler,
+)
+from galelab.engine import compile_gambler, run_martingale
+from galelab.sequences import constant_source
 
-from conftest import random_valid_gambler
+from conftest import array_source, random_valid_gambler
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +56,15 @@ def test_log2_fraction_exact_on_powers_of_two():
     assert log2_fraction(Fraction(2) ** 100) == 100.0
     assert log2_fraction(Fraction(1, 8)) == -3.0
     assert abs(log2_fraction(Fraction(3)) - math.log2(3)) < 1e-14
+
+
+def test_log2_fraction_of_zero_is_bankrupt():
+    assert log2_fraction(Fraction(0)) == BANKRUPT_LOG2 == float("-inf")
+
+
+def test_log2_fraction_of_a_negative_rational_raises():
+    with pytest.raises(ValueError, match="negative"):
+        log2_fraction(Fraction(-1, 2))
 
 
 @pytest.mark.parametrize("x", [
@@ -167,31 +181,39 @@ def test_sampled_gamblers_are_valid(seed, h):
 # ---------------------------------------------------------------------------
 
 def test_uniform_bet_preserves_capital():
-    c = capital_mul_bet(Capital.exact(1), 2, Fraction(1, 2))
-    assert c.exact_value() == 1
+    assert not compile_gambler(uniform_gambler()).log_rows.any()
+    trace = run_martingale(uniform_gambler(), constant_source(1), 7, mode="exact")
+    assert trace.final_capital.exact_value() == 1
+    assert trace.final_capital.log2() == 0.0
 
 
 def test_deterministic_bet_doubles():
-    c = capital_mul_bet(Capital.exact(1), 2, Fraction(1))
-    assert c.exact_value() == 2
+    assert compile_gambler(single_minded_gambler(0)).log_rows[0, 0] == 1.0
+    trace = run_martingale(single_minded_gambler(0), constant_source(0), 3, mode="exact")
+    assert [s.capital.exact_value() for s in trace.steps] == [2, 4, 8]
 
 
 def test_zero_bet_bankrupts_log_mode():
-    c = capital_mul_bet(Capital.from_log2(5.0), 2, Fraction(0))
+    assert compile_gambler(single_minded_gambler(0)).log_rows[0, 1] == BANKRUPT_LOG2
+    c = run_martingale(single_minded_gambler(0), constant_source(1), 1).final_capital
     assert c.is_bankrupt
     assert c.log2() == float("-inf")
 
 
 def test_bankruptcy_is_absorbing():
-    c = Capital.from_log2(float("-inf")).mul_bet(2, Fraction(1))
-    assert c.is_bankrupt
-    e = Capital.exact(0).mul_bet(2, Fraction(1))
-    assert e.is_bankrupt and e.log2() == float("-inf")
+    # the all-in bettor on 0 loses at step 1; every later bet on 0 would win
+    src = array_source([0, 1, 0, 0, 0])
+    log = run_martingale(single_minded_gambler(0), src, 5)
+    exact = run_martingale(single_minded_gambler(0), src, 5, mode="exact")
+    assert [s.capital.is_bankrupt for s in log.steps] == [False] + [True] * 4
+    assert [s.capital.exact_value() for s in exact.steps] == [2, 0, 0, 0, 0]
+    assert exact.final_capital.is_bankrupt
+    assert exact.final_capital.log2() == float("-inf")
 
 
 def test_exact_log2_conversion_exact_for_powers_of_two():
-    assert Capital.exact(Fraction(2) ** 700).log2() == 700.0
-    assert Capital.exact(Fraction(1, 2) ** 9).log2() == -9.0
+    assert log2_fraction(Fraction(2) ** 700) == 700.0
+    assert log2_fraction(Fraction(1, 2) ** 9) == -9.0
 
 
 @settings(max_examples=50, derandomize=True)
@@ -199,21 +221,30 @@ def test_exact_log2_conversion_exact_for_powers_of_two():
                                  Fraction(2, 3), Fraction(5, 8)]),
                 min_size=1, max_size=200))
 def test_exact_and_log_modes_agree(bet_seq):
-    exact = Capital.exact(1)
-    logc = Capital.from_log2(0.0)
+    """The exact product of the fair factors ``2 * p`` against the running
+    sum of their log2 values, as the two modes of a run compute them."""
+    exact = Fraction(1)
+    logc = 0.0
     for p in bet_seq:
-        exact = exact.mul_bet(2, p)
-        logc = logc.mul_bet(2, p)
-    if exact.is_bankrupt or logc.is_bankrupt:
-        assert exact.is_bankrupt and logc.is_bankrupt
-    else:
-        ref = exact.log2()
-        assert abs(ref - logc.value) <= 1e-9 * max(1.0, abs(ref))
+        exact *= 2 * p
+        logc += log2_fraction(2 * p)
+    ref = log2_fraction(exact)
+    assert abs(ref - logc) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_bet_weight_outside_unit_interval_rejected():
-    with pytest.raises(ValueError):
-        Capital.exact(1).mul_bet(2, Fraction(3, 2))
+    """Weights (3/2, -1/2) sum to 1, so only the sign of one is wrong."""
+    spec = GamblerSpec(
+        alphabet=Alphabet.from_size(2),
+        head_count=1,
+        positional={"t0": PositionalState("t0", ())},
+        betting={"q0": BettingState(
+            ProbVector((Fraction(3, 2), Fraction(-1, 2))), ("q0", "q0"))},
+        initial_t="t0",
+        initial_q="q0",
+    )
+    with pytest.raises(ValueError, match="negative bet weight"):
+        compile_gambler(spec)
 
 
 # ---------------------------------------------------------------------------

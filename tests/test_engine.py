@@ -12,7 +12,6 @@ import galelab.engine as engine
 from galelab.core import (
     Alphabet,
     BettingState,
-    Capital,
     GamblerSpec,
     PositionalState,
     ProbVector,
@@ -29,7 +28,7 @@ from galelab.engine import (
     positions,
     run_log2_capitals,
     run_martingale,
-    sgale_value,
+    sgale_log2,
     success_exponent,
     window_exponents,
     write_trajectory_csv,
@@ -117,10 +116,10 @@ def test_trace_capital_recursion_and_positions_bound():
     spec = build_parity_gambler(2)
     src = f_family(2, "F", prng_source(2))
     trace = run_martingale(spec, src, 300, mode="exact")
-    cap = Capital.exact(1)
+    cap = Fraction(1)
     for step in trace.steps:
-        cap = cap.mul_bet(2, step.bet[step.realized_symbol])
-        assert step.capital.exact_value() == cap.exact_value()
+        cap *= 2 * step.bet[step.realized_symbol]
+        assert step.capital.exact_value() == cap
         assert all(p <= step.n for p in step.trailing_positions)
 
 
@@ -177,33 +176,33 @@ def test_trace_subsampling_keeps_last_step(monkeypatch):
 
 def test_success_exponent_constant_capital_is_zero():
     trace = run_martingale(uniform_gambler(), prng_source(0), 1000)
-    est = success_exponent(trace, 2)
+    est = success_exponent(trace)
     assert est.limsup_est == 0.0 and est.liminf_est == 0.0
 
 
 def test_success_exponent_parity_gambler():
     spec = build_parity_gambler(2)
     trace = run_martingale(spec, f_family(2, "F", prng_source(1)), 100_000)
-    est = success_exponent(trace, 2)
+    est = success_exponent(trace)
     assert abs(est.limsup_est - 0.2) <= 0.01
     assert abs(est.liminf_est - 0.2) <= 0.01
 
 
 def test_success_exponent_all_in_winner_is_one():
     trace = run_martingale(single_minded_gambler(0), constant_source(0), 1000)
-    est = success_exponent(trace, 2)
+    est = success_exponent(trace)
     assert est.limsup_est == 1.0 and est.liminf_est == 1.0
 
 
 def test_success_exponent_requires_long_trace():
     trace = run_martingale(uniform_gambler(), prng_source(0), 50)
     with pytest.raises(ValueError, match="100"):
-        success_exponent(trace, 2)
+        success_exponent(trace)
 
 
 def test_success_exponent_bankrupt_sentinel():
     trace = run_martingale(single_minded_gambler(0), constant_source(1), 200)
-    est = success_exponent(trace, 2)
+    est = success_exponent(trace)
     assert est.limsup_est == float("-inf")
 
 
@@ -214,28 +213,17 @@ def test_window_exponents_uses_trailing_window():
 
 
 def test_sgale_identity_at_s_one():
-    c = Capital.from_log2(7.5)
-    assert sgale_value(c, Fraction(1), 1234, 2).value == 7.5
-    e = Capital.exact(Fraction(3, 4))
-    assert sgale_value(e, Fraction(1), 99, 2).exact_value() == Fraction(3, 4)
+    out = sgale_log2([7.5, -3.25], [1234, 99], Fraction(1), 2)
+    assert out.tolist() == [7.5, -3.25]
 
 
 def test_sgale_log_mode_shift():
-    c = Capital.from_log2(2.0)
-    out = sgale_value(c, Fraction(9, 10), 10, 2)
-    assert out.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sgale_exact_mode_wants_integer_exponent():
-    c = Capital.exact(12)
-    out = sgale_value(c, Fraction(1, 2), 4, 2)
-    assert out.exact_value() == Fraction(12, 4)
-    with pytest.raises(ValueError, match="log2"):
-        sgale_value(c, Fraction(9, 10), 7, 2)
+    out = sgale_log2([2.0], [10], Fraction(9, 10), 2)
+    assert out[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sgale_bankrupt_stays_bankrupt():
-    assert sgale_value(Capital.from_log2(float("-inf")), Fraction(2), 5, 2).is_bankrupt
+    assert sgale_log2([float("-inf")], [5], Fraction(2), 2)[0] == float("-inf")
 
 
 # ---------------------------------------------------------------------------

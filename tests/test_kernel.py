@@ -3,7 +3,8 @@
 The reference below runs a gambler straight from its spec, one step at a
 time: trailing positions from ``positions``, the scanned symbol vector
 encoded with ``encode_symbol_vector``, the transition looked up by state
-id, and the capital advanced by ``Capital.mul_bet``.  The kernel must
+id, and the log2 capital advanced by a running sum of ``log2_fraction(k * p)``
+(``-inf`` once bankrupt or on a zero bet ``p``).  The kernel must
 match it exactly: the same betting states, the same trailing positions
 and bit-identical log2 capitals.
 """
@@ -14,13 +15,14 @@ import numpy as np
 import pytest
 
 from galelab.core import (
+    BANKRUPT_LOG2,
     Alphabet,
     BettingState,
-    Capital,
     GamblerSpec,
     PositionalState,
     ProbVector,
     encode_symbol_vector,
+    log2_fraction,
 )
 from galelab.constructions import build_parity_gambler, single_minded_gambler
 from galelab.engine import (
@@ -42,16 +44,20 @@ def reference_walk(spec: GamblerSpec, buf, n: int):
     positions and log2 capitals of a run, one step at a time."""
     q_ids = list(spec.betting)
     q = spec.initial_q
-    cap = Capital.start(spec.initial_capital, Capital.LOG2)
+    cap = log2_fraction(spec.initial_capital)
     states, trailing, caps = [], [], []
     for m in range(n):
         pos = positions(spec, m)
         trailing.append(pos)
-        if not cap.is_bankrupt:
+        if cap != BANKRUPT_LOG2:
             states.append(q_ids.index(q))
         sym = int(buf[m])
-        cap = cap.mul_bet(spec.k, spec.betting[q].bets[sym])
-        caps.append(cap.value)
+        p = spec.betting[q].bets[sym]
+        if cap == BANKRUPT_LOG2 or p == 0:
+            cap = BANKRUPT_LOG2
+        else:
+            cap = cap + log2_fraction(spec.k * p)
+        caps.append(cap)
         code = encode_symbol_vector([int(buf[p]) for p in pos] + [sym], spec.k)
         q = spec.betting[q].transitions[code]
     return states, trailing, np.array(caps, dtype=np.float64)
@@ -121,7 +127,7 @@ def test_batch_and_trace_runners_agree_bit_for_bit():
             caps = run_log2_capitals(spec, src, 500)
             trace = run_martingale(spec, src, 500)
             assert caps.tobytes() == trace.log2_capitals().tobytes()
-            assert trace.final_capital.value == caps[-1]
+            assert trace.final_capital.log2() == caps[-1]
 
 
 def test_trace_steps_are_built_on_demand():

@@ -10,7 +10,6 @@ from galelab.sequences import (
     constant_source,
     expand_index,
     f_family,
-    multiplicity,
     nth_prime,
     prng_source,
     read_sequence,
@@ -36,12 +35,9 @@ def test_nth_prime_beyond_table_names_maximum():
         nth_prime(1000)
 
 
-def test_multiplicity():
-    assert multiplicity(1, 8) == 3
-    assert multiplicity(2, 18) == 2
-    assert multiplicity(3, 7) == 0
-    with pytest.raises(ValueError):
-        multiplicity(1, 0)
+def test_nth_prime_indices_start_at_one():
+    with pytest.raises(ValueError, match="start at 1"):
+        nth_prime(0)
 
 
 # ---------------------------------------------------------------------------
