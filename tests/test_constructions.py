@@ -36,10 +36,6 @@ from galelab.sequences import f_family, nth_prime, prng_source
 def test_round_dyadic_fixed_points_and_examples():
     for r in range(1, 10):
         assert round_dyadic(Fraction(1, 2), r) == Fraction(1, 2)
-    # the grid is closed: each of its 2**r + 1 points rounds to itself
-    for r in (1, 3, 6):
-        for z in range(2 ** r + 1):
-            assert round_dyadic(Fraction(z, 2 ** r), r) == Fraction(z, 2 ** r)
     assert round_dyadic(Fraction(3, 10), 6) == Fraction(20, 64)
     assert round_dyadic(Fraction(7, 10), 6) == Fraction(44, 64)
 
@@ -59,6 +55,17 @@ def test_round_dyadic_properties(x, r):
     else:
         assert out <= x
     assert round_dyadic(out, r) == out
+
+
+def test_dyadic_grid_size_and_closure():
+    # round_dyadic maps [0, 1] onto the 2**r + 1 grid points z / 2**r
+    pts = {Fraction(z, 2 ** 3) for z in range(2 ** 3 + 1)}
+    assert len(pts) == 2 ** 3 + 1
+    assert {round_dyadic(Fraction(i, 1000), 3) for i in range(1001)} == pts
+    # the grid is closed: each point rounds to itself
+    for r in (1, 3, 6):
+        for z in range(2 ** r + 1):
+            assert round_dyadic(Fraction(z, 2 ** r), r) == Fraction(z, 2 ** r)
 
 
 def test_rounding_resolution_examples():
