@@ -29,7 +29,7 @@ from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 from typing import NamedTuple, TextIO
 
@@ -46,7 +46,6 @@ from .sequences import SequenceSource
 
 __all__ = [
     "Capital",
-    "TraceStep",
     "RunTrace",
     "SpeedProfile",
     "ExponentEstimate",
@@ -109,28 +108,15 @@ class Capital:
         return self.bits == BANKRUPT_LOG2
 
 
-class TraceStep(NamedTuple):
-    """One recorded step, at leading position ``n``; ``betting_state`` and
-    ``bet`` are None once bankrupt."""
-
-    n: int
-    trailing_positions: tuple[int, ...]
-    betting_state: str | None
-    bet: ProbVector | None
-    realized_symbol: int
-    capital: Capital
-
-
 @dataclass
 class RunTrace:
     """Columnar per-step record of a run.
 
-    Row ``i`` is step ``step[i]``; ``rows`` holds its betting-state index
-    (``-1`` once bankrupt), realized symbol, trailing positions and log2
-    capital *after* its bet, which exact mode also keeps as ``exact``
-    rationals.  The last row is the martingale value of the whole prefix.
-    Runs longer than ``TRACE_CAP`` keep every ``recorded_every``-th step
-    plus the last.  ``steps`` builds ``TraceStep`` records on demand.
+    Row ``i`` is step ``steps[i]``; ``rows`` holds its betting-state index
+    (``-1`` once bankrupt), realized symbol and log2 capital *after* its
+    bet, which exact mode also keeps as ``exact`` rationals.  The last
+    row is the martingale value of the whole prefix.  Runs longer than
+    ``TRACE_CAP`` keep every ``recorded_every``-th step plus the last.
     """
 
     gambler: str
@@ -140,13 +126,9 @@ class RunTrace:
     final_capital: Capital
     recorded_every: int
     compiled: CompiledGambler
-    step: np.ndarray
+    steps: np.ndarray
     rows: Walk
     exact: list[Fraction] | None
-
-    @property
-    def steps(self) -> TraceSteps:
-        return TraceSteps(self)
 
     def log2_capitals(self) -> np.ndarray:
         if self.exact is None:
@@ -158,25 +140,6 @@ class RunTrace:
         all_in = np.array([[w == 1 for w in b.weights] for b in self.compiled.bets])
         live = self.rows.states >= 0
         return int(all_in[self.rows.states[live], self.rows.symbols[live]].sum())
-
-
-class TraceSteps(Sequence):
-    """The rows of a ``RunTrace`` as ``TraceStep`` records, built on demand."""
-
-    def __init__(self, trace: RunTrace):
-        self.trace = trace
-
-    def __len__(self) -> int:
-        return len(self.trace.step)
-
-    def __getitem__(self, i: int) -> TraceStep:
-        t, g = self.trace, self.trace.compiled
-        m, q = int(t.step[i]), int(t.rows.states[i])
-        cap = (Capital(float(t.rows.log2[i])) if t.exact is None
-               else Capital(log2_fraction(t.exact[i]), t.exact[i]))
-        return TraceStep(m, tuple(t.rows.trailing[i].tolist()),
-                         g.state_ids[q] if q >= 0 else None,
-                         g.bets[q] if q >= 0 else None, int(t.rows.symbols[i]), cap)
 
 
 @dataclass(frozen=True)
@@ -215,6 +178,64 @@ def _positional_orbit(spec: GamblerSpec) -> tuple[np.ndarray, np.ndarray]:
     return mu[:seen[t]], mu[seen[t]:]
 
 
+class _Orbits(NamedTuple):
+    """Positional orbits as padded tables, one row per orbit: every
+    trailing-head position of a run is read off this table.
+
+    ``sums[o, r]`` is the sum of the first ``r`` movement bits of orbit
+    ``o`` (preperiod then one cycle), ``pre``/``cyc`` its preperiod and
+    cycle lengths, ``per_cycle`` its advances per cycle and ``powers`` the
+    place values of its trailing reads in a code.  Orbits with fewer
+    heads are padded with heads that never move and weigh nothing.
+    """
+
+    sums: np.ndarray
+    pre: np.ndarray
+    cyc: np.ndarray
+    per_cycle: np.ndarray
+    powers: np.ndarray
+
+    @classmethod
+    def of(cls, spec: GamblerSpec) -> _Orbits:
+        """The one-row table of a gambler's orbit."""
+        pre, cyc = _positional_orbit(spec)
+        sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre, cyc]), axis=0)
+        powers = spec.k ** np.arange(spec.head_count - 1, 0, -1)
+        return cls(sums[None], np.array([len(pre)]), np.array([len(cyc)]),
+                   cyc.sum(0)[None], powers[None])
+
+    @classmethod
+    def stack(cls, tables: list[_Orbits]) -> _Orbits:
+        """The rows of one-row ``tables`` as one table, zero-padded to the
+        longest orbit and the most heads."""
+        count, rows, width = len(tables), *np.max([t.sums.shape[1:] for t in tables], 0)
+        shapes = [(rows, width), (), (), (width,), (width,)]
+        out = cls._make(np.zeros((count, *shape), dtype=np.int64) for shape in shapes)
+        for o, table in enumerate(tables):
+            for into, a in zip(out, table):
+                into[(o, *map(slice, a.shape[1:]))] = a[0]
+        return out
+
+    def select(self, rows: np.ndarray) -> _Orbits:
+        return self._make(a[rows] for a in self)
+
+    def codes(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Scanned codes of steps ``start..stop-1``, one column per orbit.
+
+        The trailing positions before step ``m`` are the movement bits of
+        the preperiod, of the whole cycles and of a partial cycle, read
+        off ``sums`` one head at a time; the codes are array gathers.
+        """
+        m = np.arange(start, stop)[:, None]
+        cycles = np.maximum(m - self.pre, 0) // self.cyc
+        flat = m - cycles * self.cyc + np.arange(len(self.pre)) * self.sums.shape[1]
+        codes = buf[start:stop, None] + np.zeros(len(self.pre), dtype=np.int64)
+        for i in range(self.sums.shape[2]):
+            trailing = self.sums[..., i].ravel()[flat] + cycles * self.per_cycle[:, i]
+            codes += buf[trailing] * self.powers[:, i]
+        return codes
+
+
 def _compile_betting(spec: GamblerSpec):
     q_ids = list(spec.betting)
     q_index = {qid: i for i, qid in enumerate(q_ids)}
@@ -227,8 +248,9 @@ class CompiledGambler(NamedTuple):
     """A validated gambler as flat tables, built once per run.
 
     ``next_state[q][code]`` is ``-1`` where state ``q`` bets nothing on the
-    leading symbol of ``code`` (the gambler is bankrupt and stops), and
-    ``log_rows[q, s]`` is ``log2(k * w)`` of its bet weight ``w`` on ``s``.
+    leading symbol of ``code`` (the gambler is bankrupt and stops),
+    ``log_rows[q, s]`` is ``log2(k * w)`` of its bet weight ``w`` on ``s``
+    and ``orbit`` is the one-row table of its positional orbit.
     """
 
     k: int
@@ -239,8 +261,7 @@ class CompiledGambler(NamedTuple):
     bets: list[ProbVector]
     next_state: list[list[int]]
     log_rows: np.ndarray
-    mu_pre: np.ndarray
-    mu_cyc: np.ndarray
+    orbit: _Orbits
 
 
 def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
@@ -257,56 +278,49 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
                          for bets in bet_rows])
     return CompiledGambler(k, spec.head_count, spec.initial_capital,
                            q_index[spec.initial_q], q_ids, bet_rows, next_state,
-                           log_rows, *_positional_orbit(spec))
+                           log_rows, _Orbits.of(spec))
 
 
 class Walk(NamedTuple):
     """Per-step betting states (up to a bankrupting step), and per-step
-    leading symbols, trailing positions (before the step) and log2
-    capitals (after it, ``-inf`` once bankrupt)."""
+    leading symbols and log2 capitals (after the step, ``-inf`` once
+    bankrupt)."""
 
     states: np.ndarray
     symbols: np.ndarray
-    trailing: np.ndarray
     log2: np.ndarray
 
 
 def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     """Walk a compiled gambler over the first ``n`` symbols of ``buf``.
 
-    Trailing positions are a cumulative sum of the tiled movement bits
-    and the scanned codes are array gathers; only the betting-state
-    recurrence ``q = next_state[q][code]`` runs step by step.  The log2
-    capitals are one sequential cumulative sum, so each is the float a
-    step-by-step running sum gives.
+    The scanned codes are read off the orbit table ``GATHER`` steps at a
+    time; only the betting-state recurrence ``q = next_state[q][code]``
+    runs step by step.  The log2 capitals are one sequential cumulative
+    sum, so each is the float a step-by-step running sum gives.
     """
-    reps = -(-max(n - len(g.mu_pre), 0) // len(g.mu_cyc))
-    trailing = np.concatenate([np.zeros_like(g.mu_cyc[:1]), g.mu_pre[:n],
-                               np.tile(g.mu_cyc, (reps, 1))])[:n]
-    np.cumsum(trailing, axis=0, out=trailing)  # row m sums the moves before step m
-    symbols = buf[:n]
-    powers = g.k ** np.arange(g.head_count - 1, 0, -1)
-    codes = symbols if g.head_count == 1 else buf[trailing] @ powers + symbols
+    codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
+        memoryview(g.orbit.codes(buf, i, min(i + GATHER, n)).ravel())
+        for i in range(0, n, GATHER))
     q, table, states = g.q0, g.next_state, array("q")
     record = states.append
-    for code in memoryview(codes):  # Python ints, converted as the walk reaches them
+    for code in codes:
         record(q)
         q = table[q][code]
         if q < 0:
             break
-    del codes
     states = np.frombuffer(states, dtype=np.int64)
+    symbols = buf[:n]
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
-    read = symbols[:len(states)]
     terms = np.empty(len(states))
     for i in range(0, len(states), GATHER):
-        j = i + GATHER
-        terms[i:j] = flat[states[i:j] * g.k + read[i:j]]
+        j = min(i + GATHER, len(states))
+        terms[i:j] = flat[states[i:j] * g.k + symbols[i:j]]
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
     if len(states) < n:
         log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
-    return Walk(states, symbols, trailing, log2)
+    return Walk(states, symbols, log2)
 
 
 def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
@@ -337,58 +351,6 @@ class PopulationRun(NamedTuple):
     liminf_est: np.ndarray
 
 
-class _Orbits(NamedTuple):
-    """Positional orbits as padded tables, one row per orbit.
-
-    ``sums[o, r]`` is the sum of the first ``r`` movement bits of orbit
-    ``o`` (preperiod then cycle), ``pre``/``cyc`` its preperiod and cycle
-    lengths, ``per_cycle`` its advances per cycle and ``powers`` the
-    place values of its trailing reads in a code.  Orbits with fewer
-    heads are padded with heads that never move and weigh nothing.
-    """
-
-    sums: np.ndarray
-    pre: np.ndarray
-    cyc: np.ndarray
-    per_cycle: np.ndarray
-    powers: np.ndarray
-
-    @classmethod
-    def build(cls, orbits: list[tuple[int, np.ndarray, np.ndarray]], k: int) -> _Orbits:
-        count, width = len(orbits), max(h for h, _, _ in orbits) - 1
-        length = max(len(pre) + len(cyc) for _, pre, cyc in orbits)
-        t = cls(sums=np.zeros((count, length + 1, width), dtype=np.int64),
-                pre=np.zeros(count, dtype=np.int64),
-                cyc=np.zeros(count, dtype=np.int64),
-                per_cycle=np.zeros((count, width), dtype=np.int64),
-                powers=np.zeros((count, width), dtype=np.int64))
-        for o, (h, pre, cyc) in enumerate(orbits):
-            moves = np.concatenate([pre, cyc])
-            t.sums[o, 1:len(moves) + 1, :h - 1] = np.cumsum(moves, axis=0)
-            t.pre[o], t.cyc[o] = len(pre), len(cyc)
-            t.per_cycle[o, :h - 1] = cyc.sum(0)
-            t.powers[o, :h - 1] = k ** np.arange(h - 1, 0, -1)
-        return t
-
-    def select(self, rows: np.ndarray) -> _Orbits:
-        return self._make(a[rows] for a in self)
-
-    def codes(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Scanned codes of steps ``start..stop-1``, one column per orbit.
-
-        The trailing positions before step ``m`` are the movement bits of
-        the preperiod, of the whole cycles and of a partial cycle, read
-        off ``sums``; the codes are array gathers, as in :func:`walk`.
-        """
-        m = np.arange(start, stop)[:, None]
-        past = m >= self.pre
-        row = np.where(past, self.pre + (m - self.pre) % self.cyc, m)
-        cycles = np.where(past, (m - self.pre) // self.cyc, 0)
-        trailing = (self.sums[np.arange(len(self.sums)), row]
-                    + cycles[..., None] * self.per_cycle)
-        return (buf[trailing] * self.powers).sum(-1) + buf[start:stop, None]
-
-
 def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
                     n: int) -> PopulationRun:
     """Walk many gamblers together over the first ``n`` symbols of a source.
@@ -410,7 +372,7 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     k = source.alphabet_size
     labels: list[str] = []
     next_flat, log_flat, start, init = array("q"), array("d"), array("q"), array("d")
-    orbits: dict[tuple, tuple[int, tuple]] = {}
+    orbits: dict[tuple, tuple[int, _Orbits]] = {}
     orbit_of, widest = array("q"), k
     for spec in specs:
         g = _compile_for(spec, source)
@@ -419,9 +381,8 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         for row in g.next_state:
             next_flat.extend(-1 if t < 0 else base + t * width for t in row)
         log_flat.extend(np.tile(g.log_rows, width // k).ravel().tolist())
-        key = (g.head_count, g.mu_pre.tobytes(), g.mu_cyc.tobytes())
-        orbit_of.append(orbits.setdefault(
-            key, (len(orbits), (g.head_count, g.mu_pre, g.mu_cyc)))[0])
+        key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
+        orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit))[0])
         start.append(base + g.q0 * width)
         init.append(log2_fraction(g.initial))
         labels.append(spec.label())
@@ -435,10 +396,10 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     nxt = np.array(next_flat, dtype=np.int64)
     nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
     logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
-    all_orbits = _Orbits.build([orbit for _, orbit in orbits.values()], k)
+    all_orbits = _Orbits.stack([orbit for _, orbit in orbits.values()])
     orbit_of = np.array(orbit_of, dtype=np.int64)
     buf = source.prefix_array(n)
-    window = n - max(1, int(n * WINDOW_FRAC))  # as in window_exponents
+    window = _window_start(n)
 
     live = np.arange(len(labels))
     q, carry = np.array(start, dtype=np.int64), np.array(init)
@@ -476,16 +437,13 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
 # ---------------------------------------------------------------------------
 
 def positions(spec: GamblerSpec, n: int) -> tuple[int, ...]:
-    """Trailing-head position vector after ``n`` steps.
-
-    The movement bits of the first ``n`` steps of the positional orbit,
-    summed as the preperiod, whole cycles and a partial cycle, so large
-    ``n`` costs only the preperiod plus one cycle.
-    """
-    mu_pre, mu_cyc = _positional_orbit(spec)
-    full, partial = divmod(max(n - len(mu_pre), 0), len(mu_cyc))
-    base = (mu_pre[:n].sum(0) + mu_cyc[:partial].sum(0)).tolist()
-    return tuple(b + full * c for b, c in zip(base, mu_cyc.sum(0).tolist()))
+    """Trailing-head position vector after ``n`` steps, read off the orbit
+    table in Python integers, so it is exact for any ``n``."""
+    o = _Orbits.of(spec)
+    cyc = int(o.cyc[0])
+    cycles = max(n - int(o.pre[0]), 0) // cyc
+    base = o.sums[0, n - cycles * cyc].tolist()
+    return tuple(b + cycles * c for b, c in zip(base, o.per_cycle[0].tolist()))
 
 
 def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
@@ -502,9 +460,9 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
         raise ValueError(f"unknown capital mode {mode!r}")
     g, w = _walk_source(spec, source, n)
     every = 1 if n <= TRACE_CAP else -(-n // TRACE_CAP)
-    step = np.append(np.arange(0, n - 1, every), n - 1) if n else np.arange(0)
+    steps = np.append(np.arange(0, n - 1, every), n - 1) if n else np.arange(0)
     states = np.append(w.states, np.full(n - len(w.states), -1))
-    rows = Walk(states[step], w.symbols[step], w.trailing[step], w.log2[step])
+    rows = Walk(states[steps], w.symbols[steps], w.log2[steps])
     final = Capital(float(w.log2[-1]) if n else log2_fraction(g.initial))
     exact = None
     if mode == "exact":
@@ -512,11 +470,11 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
         walked = zip(w.states.tolist(), w.symbols.tolist())
         caps = list(accumulate((kw[q][s] for q, s in walked), mul, initial=g.initial))
         caps += [Fraction(0)] * (n + 1 - len(caps))
-        exact = [caps[m + 1] for m in step.tolist()]
+        exact = [caps[m + 1] for m in steps.tolist()]
         final = Capital(log2_fraction(caps[-1]), caps[-1])
     return RunTrace(gambler=spec.label(), source=source.describe(), k=g.k, n=n,
                     final_capital=final, recorded_every=every, compiled=g,
-                    step=step, rows=rows, exact=exact)
+                    steps=steps, rows=rows, exact=exact)
 
 
 def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.ndarray:
@@ -533,6 +491,12 @@ def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.n
 # exponents and gales
 # ---------------------------------------------------------------------------
 
+def _window_start(n: int) -> int:
+    """First step of the trailing window of an ``n``-step run: its last
+    ``WINDOW_FRAC`` share, and at least its last step."""
+    return n - max(1, int(n * WINDOW_FRAC))
+
+
 def window_exponents(log2_caps: np.ndarray, k: int,
                      prefix_lengths: np.ndarray | None = None) -> ExponentEstimate:
     """Max/min of ``log_k(capital)/n`` over the trailing window.
@@ -547,7 +511,7 @@ def window_exponents(log2_caps: np.ndarray, k: int,
         raise ValueError("empty trace")
     if prefix_lengths is None:
         prefix_lengths = np.arange(1, m + 1, dtype=np.float64)
-    start = m - max(1, int(m * WINDOW_FRAC))
+    start = _window_start(m)
     denom = prefix_lengths[start:] * math.log2(k)
     with np.errstate(invalid="ignore"):
         ratios = log2_caps[start:] / denom
@@ -563,7 +527,7 @@ def success_exponent(trace: RunTrace) -> ExponentEstimate:
     """
     if len(trace.steps) < 100:
         raise ValueError("trace too short for exponent estimation (need >= 100)")
-    return window_exponents(trace.log2_capitals(), trace.k, trace.step + 1.0)
+    return window_exponents(trace.log2_capitals(), trace.k, trace.steps + 1.0)
 
 
 def sgale_log2(log2_caps, lengths: Iterable[int], s: Fraction, k: int) -> np.ndarray:
@@ -632,10 +596,10 @@ def measure_speeds(spec: GamblerSpec) -> SpeedProfile:
     a cycle; the speed of head ``i`` is its advances per cycle divided by
     the cycle length.
     """
-    mu_pre, mu_cyc = _positional_orbit(spec)
-    cyc = len(mu_cyc)
-    speeds = tuple(Fraction(a, cyc) for a in mu_cyc.sum(0).tolist())
-    return SpeedProfile(speeds, cyc, len(mu_pre))
+    o = _Orbits.of(spec)
+    cyc = int(o.cyc[0])
+    speeds = tuple(Fraction(a, cyc) for a in o.per_cycle[0].tolist())
+    return SpeedProfile(speeds, cyc, int(o.pre[0]))
 
 
 def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
@@ -647,12 +611,11 @@ def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
     deviation repeats with the cycle: ``n`` up to preperiod plus cycle
     decide every horizon.
     """
-    mu_pre, mu_cyc = _positional_orbit(spec)
-    moves = np.concatenate([np.zeros_like(mu_cyc[:1]), mu_pre, mu_cyc])
-    n = np.arange(min(len(moves), max(n_max, 0) + 1))[:, None]
-    pos = np.cumsum(moves, axis=0)[:len(n)]
-    cyc = len(mu_cyc)  # the bound times the cycle length, which keeps it integral
-    deviation = np.abs(pos * cyc - mu_cyc.sum(0) * n)
+    o = _Orbits.of(spec)
+    pos = o.sums[0, :max(n_max, 0) + 1]  # row n is the position after n steps
+    n = np.arange(len(pos))[:, None]
+    cyc = int(o.cyc[0])  # the bound times the cycle length, which keeps it integral
+    deviation = np.abs(pos * cyc - o.per_cycle[0] * n)
     return bool(np.all(deviation <= len(spec.positional) * cyc))
 
 
@@ -674,7 +637,7 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
-    lengths = (trace.step + 1).tolist()
+    lengths = (trace.steps + 1).tolist()
     log2 = trace.log2_capitals()
     columns = [lengths, log2.tolist()]
     columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]

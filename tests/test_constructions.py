@@ -120,13 +120,15 @@ def test_parity_gambler_boundary_bets_always_win():
         src = f_family(2, "F", prng_source(seed))
         trace = run_martingale(spec, src, 500)
         wins = 0
-        for step in trace.steps:
-            if step.n % p == 0 and step.n > 0:
-                assert step.bet[step.realized_symbol] == 1, (
-                    f"boundary bet lost at step {step.n}, seed {seed}")
+        rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
+                   trace.rows.symbols.tolist())
+        for m, q, symbol in rows:
+            bet = trace.compiled.bets[q][symbol]
+            if m % p == 0 and m > 0:
+                assert bet == 1, f"boundary bet lost at step {m}, seed {seed}"
                 wins += 1
             else:
-                assert step.bet[step.realized_symbol] == Fraction(1, 2)
+                assert bet == Fraction(1, 2)
         assert wins == -(-500 // p) - 1
         assert trace.all_in_win_count() == wins
 
@@ -177,10 +179,12 @@ def test_scaled_capital_clears_threshold_at_every_prefix():
     src = f_family(2, "F", prng_source(1))
     trace = run_martingale(spec, src, 300)
     wins = 0
-    for step in trace.steps:
-        if step.bet[step.realized_symbol] == 1:
+    rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
+               trace.rows.symbols.tolist())
+    for m, q, symbol in rows:
+        if trace.compiled.bets[q][symbol] == 1:
             wins += 1
-        n = step.n + 1
+        n = m + 1
         # exact arithmetic: doubling count plus the scale shift
         assert wins + (s - 1) * n >= eps * n - 2
 
@@ -217,8 +221,7 @@ def test_average_of_identical_gamblers_is_the_gambler():
     src = f_family(2, "F", prng_source(3))
     t1 = run_martingale(g, src, 400, mode="exact")
     t2 = run_martingale(combined, src, 400, mode="exact")
-    for a, b in zip(t1.steps, t2.steps):
-        assert a.capital.exact_value() == b.capital.exact_value()
+    assert t1.exact == t2.exact
 
 
 def test_average_rejects_bad_inputs():

@@ -35,7 +35,7 @@ from galelab.constructions import (
 from galelab.engine import compile_gambler, run_martingale
 from galelab.sequences import constant_source
 
-from conftest import array_source, random_valid_gambler
+from gamblers import array_source, random_valid_gambler
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_uniform_bet_preserves_capital():
 def test_deterministic_bet_doubles():
     assert compile_gambler(single_minded_gambler(0)).log_rows[0, 0] == 1.0
     trace = run_martingale(single_minded_gambler(0), constant_source(0), 3, mode="exact")
-    assert [s.capital.exact_value() for s in trace.steps] == [2, 4, 8]
+    assert trace.exact == [2, 4, 8]
 
 
 def test_zero_bet_bankrupts_log_mode():
@@ -205,8 +205,8 @@ def test_bankruptcy_is_absorbing():
     src = array_source([0, 1, 0, 0, 0])
     log = run_martingale(single_minded_gambler(0), src, 5)
     exact = run_martingale(single_minded_gambler(0), src, 5, mode="exact")
-    assert [s.capital.is_bankrupt for s in log.steps] == [False] + [True] * 4
-    assert [s.capital.exact_value() for s in exact.steps] == [2, 0, 0, 0, 0]
+    assert (log.log2_capitals() == BANKRUPT_LOG2).tolist() == [False] + [True] * 4
+    assert exact.exact == [2, 0, 0, 0, 0]
     assert exact.final_capital.is_bankrupt
     assert exact.final_capital.log2() == float("-inf")
 

@@ -35,7 +35,7 @@ from galelab.engine import (
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
-from conftest import array_source, random_valid_gambler, two_state_swing_gambler
+from gamblers import array_source, random_valid_gambler, two_state_swing_gambler
 
 
 def frozen_gambler(move_bits=(0, 0)) -> GamblerSpec:
@@ -68,14 +68,22 @@ def test_positions_all_zero_movement():
 
 
 def test_positions_match_step_by_step_recursion():
-    spec = build_parity_gambler(3)
-    pos = [0] * (spec.head_count - 1)
-    t = spec.initial_t
-    for n in range(200):
-        assert positions(spec, n) == tuple(pos)
-        bits = spec.positional[t].move_bits
-        pos = [p + b for p, b in zip(pos, bits)]
-        t = spec.positional[t].next_id
+    for h in (1, 2, 3, 4):
+        specs = [random_valid_gambler(seed, h) for seed in range(30)]
+        # preperiodic orbits, which the parity gamblers lack, are in the sample
+        assert h == 1 or any(measure_speeds(s).preperiod_length for s in specs)
+        for spec in specs + [build_parity_gambler(3)]:
+            pos = [0] * (spec.head_count - 1)
+            t = spec.initial_t
+            for n in range(301):
+                assert positions(spec, n) == tuple(pos)
+                bits = spec.positional[t].move_bits
+                pos = [p + b for p, b in zip(pos, bits)]
+                t = spec.positional[t].next_id
+
+
+def test_positions_exact_beyond_int64():
+    assert positions(build_parity_gambler(2), 5 * 10**30) == (2 * 10**30, 3 * 10**30)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +116,7 @@ def test_parity_gambler_capital_independent_of_inner_sequence():
 
 def test_all_in_gambler_bankrupts_at_first_loss():
     trace = run_martingale(single_minded_gambler(0), constant_source(1), 10)
-    assert trace.steps[0].capital.is_bankrupt
+    assert trace.log2_capitals()[0] == float("-inf")
     assert trace.final_capital.is_bankrupt
 
 
@@ -117,10 +125,12 @@ def test_trace_capital_recursion_and_positions_bound():
     src = f_family(2, "F", prng_source(2))
     trace = run_martingale(spec, src, 300, mode="exact")
     cap = Fraction(1)
-    for step in trace.steps:
-        cap *= 2 * step.bet[step.realized_symbol]
-        assert step.capital.exact_value() == cap
-        assert all(p <= step.n for p in step.trailing_positions)
+    rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
+               trace.rows.symbols.tolist(), trace.exact)
+    for m, q, symbol, exact in rows:
+        cap *= 2 * trace.compiled.bets[q][symbol]
+        assert exact == cap
+        assert all(p <= m for p in positions(spec, m))
 
 
 def test_bets_cannot_depend_on_the_symbol_they_cover():
@@ -130,8 +140,10 @@ def test_bets_cannot_depend_on_the_symbol_they_cover():
     b[60] ^= 1  # not a boundary; plain copy position
     ta = run_martingale(spec, array_source(a), 61)
     tb = run_martingale(spec, array_source(b), 61)
-    assert ta.steps[60].bet == tb.steps[60].bet
-    assert ta.steps[60].betting_state == tb.steps[60].betting_state
+    qa, qb = ta.rows.states[60], tb.rows.states[60]
+    assert qa >= 0 and qb >= 0
+    assert ta.compiled.bets[qa] == tb.compiled.bets[qb]
+    assert ta.compiled.state_ids[qa] == tb.compiled.state_ids[qb]
 
 
 def test_source_alphabet_mismatch_rejected():
@@ -166,7 +178,7 @@ def test_trace_subsampling_keeps_last_step(monkeypatch):
     monkeypatch.setattr(engine, "TRACE_CAP", 100)
     trace = run_martingale(uniform_gambler(), prng_source(1), 250)
     assert trace.recorded_every == 3
-    assert trace.steps[-1].n == 249
+    assert trace.steps[-1] == 249
     assert len(trace.steps) <= 100 + 1
 
 

@@ -20,7 +20,7 @@ from galelab.core import save_gambler
 from galelab.engine import run_log2_capitals
 from galelab.sequences import f_family, prng_source
 
-from conftest import random_valid_gambler, two_state_swing_gambler
+from gamblers import random_valid_gambler, two_state_swing_gambler
 
 GOLDEN = {
     "averaging_audit":

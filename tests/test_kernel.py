@@ -1,12 +1,12 @@
 """The compiled walk kernel against an independent per-step reference.
 
 The reference below runs a gambler straight from its spec, one step at a
-time: trailing positions from ``positions``, the scanned symbol vector
-encoded with ``encode_symbol_vector``, the transition looked up by state
-id, and the log2 capital advanced by a running sum of ``log2_fraction(k * p)``
-(``-inf`` once bankrupt or on a zero bet ``p``).  The kernel must
-match it exactly: the same betting states, the same trailing positions
-and bit-identical log2 capitals.
+time: trailing positions by stepping the positional states, the scanned
+symbol vector encoded with ``encode_symbol_vector``, the transition looked
+up by state id, and the log2 capital advanced by a running sum of
+``log2_fraction(k * p)`` (``-inf`` once bankrupt or on a zero bet ``p``).
+The kernel must match it exactly: the same betting states, which the
+scanned codes decide, and bit-identical log2 capitals.
 """
 
 import tracemalloc
@@ -29,26 +29,24 @@ from galelab.engine import (
     check_speed_bounds,
     compile_gambler,
     measure_speeds,
-    positions,
     run_log2_capitals,
     run_martingale,
     walk,
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
-from conftest import overbetting_gambler, random_valid_gambler
+from gamblers import overbetting_gambler, random_valid_gambler
 
 
 def reference_walk(spec: GamblerSpec, buf, n: int):
-    """Betting-state indices (up to a bankrupting step), trailing
-    positions and log2 capitals of a run, one step at a time."""
+    """Betting-state indices (up to a bankrupting step) and log2 capitals
+    of a run, one step at a time."""
     q_ids = list(spec.betting)
-    q = spec.initial_q
+    q, t = spec.initial_q, spec.initial_t
+    pos = [0] * (spec.head_count - 1)
     cap = log2_fraction(spec.initial_capital)
-    states, trailing, caps = [], [], []
+    states, caps = [], []
     for m in range(n):
-        pos = positions(spec, m)
-        trailing.append(pos)
         if cap != BANKRUPT_LOG2:
             states.append(q_ids.index(q))
         sym = int(buf[m])
@@ -60,14 +58,15 @@ def reference_walk(spec: GamblerSpec, buf, n: int):
         caps.append(cap)
         code = encode_symbol_vector([int(buf[p]) for p in pos] + [sym], spec.k)
         q = spec.betting[q].transitions[code]
-    return states, trailing, np.array(caps, dtype=np.float64)
+        pos = [p + b for p, b in zip(pos, spec.positional[t].move_bits)]
+        t = spec.positional[t].next_id
+    return states, np.array(caps, dtype=np.float64)
 
 
 def assert_walk_matches(spec, buf, n):
-    states, trailing, caps = reference_walk(spec, buf, n)
+    states, caps = reference_walk(spec, buf, n)
     w = walk(compile_gambler(spec), buf, n)
     assert w.states.tolist() == states
-    assert w.trailing.tolist() == [list(p) for p in trailing]
     assert w.symbols.tolist() == [int(b) for b in buf[:n]]
     assert w.log2.tobytes() == caps.tobytes()
     return len(states) < n
@@ -104,9 +103,8 @@ def test_walk_stops_at_the_bankrupting_step():
 
 def test_walk_memory_peak():
     """A 1e5-step walk of the two-head parity:h=1 winner peaks at little
-    more than its own result (states, trailing positions, log2 capitals:
-    0.8 MB each): the codes are freed after the loop and the log terms
-    are gathered in chunks."""
+    more than its own result (states and log2 capitals, 0.8 MB each): the
+    codes and the log terms are computed in chunks."""
     g = compile_gambler(build_parity_gambler(1))
     buf = f_family(1, "F", prng_source(7)).prefix_array(100_000)
     tracemalloc.start()
@@ -130,16 +128,13 @@ def test_batch_and_trace_runners_agree_bit_for_bit():
             assert trace.final_capital.log2() == caps[-1]
 
 
-def test_trace_steps_are_built_on_demand():
+def test_trace_columns_after_bankruptcy():
     trace = run_martingale(single_minded_gambler(0), constant_source(1), 5)
-    steps = trace.steps
-    assert len(steps) == 5
-    assert steps[0].betting_state == "q0" and steps[0].capital.is_bankrupt
-    # the gambler bets no more once bankrupt
-    assert steps[-1].betting_state is None and steps[-1].bet is None
-    assert [s.n for s in steps] == [0, 1, 2, 3, 4]
-    with pytest.raises(IndexError):
-        steps[5]
+    assert trace.steps.tolist() == [0, 1, 2, 3, 4]
+    # the gambler bets from q0 at step 0, loses it all and bets no more
+    assert trace.compiled.state_ids[trace.rows.states[0]] == "q0"
+    assert trace.rows.states.tolist() == [0, -1, -1, -1, -1]
+    assert np.all(trace.log2_capitals() == BANKRUPT_LOG2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from galelab.engine import (
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
-from conftest import (
+from gamblers import (
     array_source,
     overbetting_gambler,
     random_valid_gambler,

@@ -17,7 +17,7 @@ from galelab.sequences import (
     write_sequence,
 )
 
-from conftest import array_source
+from gamblers import array_source
 
 
 # ---------------------------------------------------------------------------
