@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    BANKRUPT_LOG2,
     Alphabet,
     BettingState,
     GamblerSpec,
@@ -326,22 +327,42 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
 # exact audit of the averaging guarantees
 # ---------------------------------------------------------------------------
 
+# Float slack of the audit's log2 decisions, per unit of a margin's scale.
+# A value v of ``log2_fraction`` lies within 8u(1 + |v|) of the true
+# logarithm, u = 2**-53: the mantissa quotient, ``log(2)``, the division
+# and the final sum each round once, and libm's ``log1p`` errs by under
+# 2 ulp.  A margin is a signed sum of at most five such values, ``n``
+# times ``log2(1 - 2**(1-r))`` and ``eps * n``, and each of its few float
+# operations rounds once more, so its error is below 16u times its scale,
+# the sum of ``1 + |term|`` over its terms.  2**-40 is 2**13 u.
+LOG2_SLACK = 2.0 ** -40
+
+
 @dataclass
 class AveragingAudit:
     """Exact per-step audit of the combinator against its components.
 
-    Tracks, alongside the combined capital ``d``, the two shadow
-    capitals ``dt1 = 2 d alpha_hat`` and ``dt2 = 2 d (1 - alpha_hat)``
-    (``alpha_hat`` the unrounded allocation ratio) and the standalone
-    component capitals ``d1, d2``.  Verified at every step, all in exact
-    arithmetic:
+    Tracks, alongside the combined capital ``d``, the standalone
+    component capitals ``d1, d2`` and two shadow capitals that follow
+    their own recursion from the component bets,
+    ``dt_j <- dt_j * (alpha_j / alpha_hat_j) * k * w_j`` (``alpha_hat_j``
+    the unrounded share of component ``j`` after the previous step,
+    ``alpha_j`` its snapped value, ``w_j`` its realized bet weight), from
+    ``dt_1 = dt_2 = 1``.  Verified at every step:
 
-    * ``d == (dt1 + dt2) / 2``;
+    * ``2 d == dt1 + dt2``, in exact arithmetic;
     * ``dt_j >= (1 - 2**(1-r))**n * d_j``;
-    * combined capital as simulated here equals the engine's run of the
-      materialized combined gambler;
+    * the combined capital as simulated here equals the engine's run of
+      the materialized combined gambler: both routes multiply by the same
+      factor ``k * w`` at every step at which the capital is nonzero;
 
     and from ``sum_bound_start`` on, ``d >= 2**(-eps*n) * (d1 + d2)``.
+    Every capital is an exact rational.  The two bounds are decided on
+    ``log2_fraction`` of those rationals, in float: a margin counts only
+    when it clears ``LOG2_SLACK`` (2**-40) times its scale, the sum of
+    ``1 + |term|`` over its log2 terms (``n`` times for the loss
+    exponent).  A margin within that slack, and a zero capital, are
+    decided exactly by ``frac_geq_product`` / ``geq_pow2_scaled``.
     ``first_*`` fields hold the earliest violating step (1-based prefix
     length) or ``None``.
     """
@@ -366,6 +387,22 @@ class AveragingAudit:
                 and self.first_engine_mismatch is None)
 
 
+def _factor(x: Fraction) -> Fraction | None:
+    """A capital's step factor, ``None`` when it is exactly 1 (the step
+    leaves that capital and its log2 as they are)."""
+    return None if x == 1 else x
+
+
+def _decided(margin: float, scale: float) -> bool | None:
+    """The sign of a float margin when it clears the slack, else ``None``."""
+    slack = LOG2_SLACK * scale
+    if margin > slack:
+        return True
+    if margin < -slack:
+        return False
+    return None
+
+
 def averaging_audit(
     g1: GamblerSpec,
     g2: GamblerSpec,
@@ -377,80 +414,152 @@ def averaging_audit(
     """Run the combined gambler and both components exactly and audit.
 
     The combined capital is simulated twice, by two independent routes:
-    directly from the component gamblers (carrying the exact allocation
-    ratio and its unrounded shadow), and through the engine on the
-    materialized product gambler; any disagreement is reported.
+    directly from the component gamblers (carrying the snapped allocation
+    ratio, the component capitals and the two shadows), and through the
+    engine on the materialized product gambler; any disagreement is
+    reported.  The direct route's allocation update depends only on the
+    snapped ratio and the two realized weights, which take finitely many
+    values, so it is computed once per distinct step of the audit.
     """
-    from .engine import compile_gambler, run_martingale, walk  # avoid a cycle
+    from .engine import compile_gambler, walk  # avoid a cycle
 
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
     k = g1.k
     buf = source.prefix_array(n)
+    symbols = buf.tolist()
+    audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
 
-    # engine route on the materialized gambler
-    engine_capital = run_martingale(combined, source, n, mode="exact").exact
+    # engine route: the factor k*w by which the materialized gambler's
+    # capital moves at each step; its walk ends at the bankrupting step
+    product = compile_gambler(combined)
+    kw = [[_factor(k * w) for w in row.weights] for row in product.bets]
+    engine = [kw[q][s] for q, s in zip(walk(product, buf, n).states.tolist(), symbols)]
+    engine += [Fraction(0)] * (n - len(engine))
 
-    # direct route: shadow-simulate the pair from the components' walks.  A
-    # component's walk ends at the step that bankrupts it; its realized
-    # weight is 0 from then on, which changes nothing: its capital stays 0,
-    # and the allocation ratio, once snapped to 0 (or 1), keeps its bet out
-    # of the mixture until the combined capital is 0 too.
-    weights = []
+    # direct route: the components' realized weights, as indices into
+    # their distinct weights.  A component's walk ends at the step that
+    # bankrupts it; its realized weight is 0 from then on, which changes
+    # nothing: its capital stays 0, and the allocation ratio, once snapped
+    # to 0 (or 1), keeps its bet out of the mixture until the combined
+    # capital is 0 too.
+    weights, picks = [], []
     for g in (g1, g2):
         compiled = compile_gambler(g)
+        distinct = sorted({w for row in compiled.bets for w in row.weights}
+                          | {Fraction(0)})
+        index = {w: i for i, w in enumerate(distinct)}
+        table = [[index[w] for w in row.weights] for row in compiled.bets]
         states = walk(compiled, buf, n).states.tolist()
-        weights.append([compiled.bets[q].weights[int(buf[m])]
-                        for m, q in enumerate(states)]
-                       + [Fraction(0)] * (n - len(states)))
+        picks.append([table[q][s] for q, s in zip(states, symbols)]
+                     + [index[0]] * (n - len(states)))
+        weights.append(distinct)
 
-    audits = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
-    alpha = Fraction(1, 2)
-    d = Fraction(1)
-    d1 = Fraction(1)
-    d2 = Fraction(1)
-    loss_base_num = 2 ** (r - 1) - 1      # running (1 - 2^(1-r))**n as a pair
-    loss_base_den = 2 ** (r - 1)
-    loss_num, loss_den = 1, 1
+    # One distinct step: the snapped ratio and shadow corrections left by
+    # the previous step (``after[e]``) meet the realized weights (i1, i2).
+    # Its entry is the next ``after`` index and the factors of d, d1, d2,
+    # dt1 and dt2.
+    after: list[tuple[Fraction, Fraction, Fraction]] = [
+        (Fraction(1, 2), Fraction(1), Fraction(1))]
+    after_ids = {after[0]: 0}
+    steps: dict[tuple[int, int, int], tuple] = {}
 
-    log_d = np.empty(n)
-    log_d1 = np.empty(n)
-    log_d2 = np.empty(n)
-
-    ae = Fraction(eps).numerator
-    be = Fraction(eps).denominator
-
-    for m, (w1, w2) in enumerate(zip(*weights)):
+    def distinct_step(e: int, i1: int, i2: int) -> tuple:
+        alpha, rho1, rho2 = after[e]
+        w1, w2 = weights[0][i1], weights[1][i2]
         alpha_hat = _alpha_step(alpha, w1, w2)
-        d = d * k * (alpha * w1 + (1 - alpha) * w2)
-        d1 = d1 * k * w1
-        d2 = d2 * k * w2
-        dt1 = 2 * d * alpha_hat
-        dt2 = 2 * d * (1 - alpha_hat)
-        loss_num *= loss_base_num
-        loss_den *= loss_base_den
+        snapped = round_dyadic(alpha_hat, r)
+        nxt = (snapped,
+               snapped / alpha_hat if alpha_hat else Fraction(0),
+               (1 - snapped) / (1 - alpha_hat) if alpha_hat != 1 else Fraction(0))
+        if nxt not in after_ids:
+            after_ids[nxt] = len(after)
+            after.append(nxt)
+        return (after_ids[nxt], _factor(k * (alpha * w1 + (1 - alpha) * w2)),
+                _factor(k * w1), _factor(k * w2),
+                _factor(rho1 * k * w1), _factor(rho2 * k * w2))
+
+    base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
+    log_loss = log2_fraction(Fraction(base_num, base_den))
+    eps_float = float(eps)
+
+    def shadow_holds(step: int, dt: Fraction, ldt: float,
+                     dj: Fraction, ldj: float) -> bool:
+        """``dt >= (1 - 2**(1-r))**step * dj``."""
+        if not dj:
+            return True
+        if not dt:
+            return False
+        verdict = _decided(ldt - ldj - step * log_loss,
+                           2 + abs(ldt) + abs(ldj) + step * (1 - log_loss))
+        if verdict is None:
+            return frac_geq_product(dt, base_num ** step, base_den ** step, dj)
+        return verdict
+
+    def sum_holds(step: int, d: Fraction, ld: float, d1: Fraction, ld1: float,
+                  d2: Fraction, ld2: float) -> bool:
+        """``d >= 2**(-eps*step) * (d1 + d2)``."""
+        if not (d1 or d2):
+            return True
+        if not d:
+            return False
+        hi, lo = max(ld1, ld2), min(ld1, ld2)
+        scale = 4 + abs(ld) + abs(hi) + eps_float * step
+        if lo != BANKRUPT_LOG2:
+            scale += abs(lo)
+        log_sum = hi + math.log1p(2.0 ** (lo - hi)) / math.log(2)
+        verdict = _decided(ld - log_sum + eps_float * step, scale)
+        if verdict is None:
+            return geq_pow2_scaled(d, d1 + d2, -eps.numerator * step, eps.denominator)
+        return verdict
+
+    log_d, log_d1, log_d2 = np.empty(n), np.empty(n), np.empty(n)
+    d = d1 = d2 = dt1 = dt2 = Fraction(1)
+    ld = ld1 = ld2 = ldt1 = ldt2 = 0.0
+    e = 0
+    identity = mismatch = sum_bound = None
+    s1 = s2 = None
+    for m, key in enumerate(zip(picks[0], picks[1])):
         step = m + 1
-
-        if audits.first_identity_violation is None and 2 * d != dt1 + dt2:
-            audits.first_identity_violation = step
-        s1, s2 = audits.first_shadow_violation
-        if s1 is None and not frac_geq_product(dt1, loss_num, loss_den, d1):
+        entry = steps.get((e, *key))
+        if entry is None:
+            entry = steps[(e, *key)] = distinct_step(e, *key)
+        e, f, f1, f2, ft1, ft2 = entry
+        if mismatch is None and engine[m] != f and d:
+            mismatch = step
+        if f is not None:
+            d *= f
+            ld = log2_fraction(d)
+        if f1 is not None:
+            d1 *= f1
+            ld1 = log2_fraction(d1)
+        if f2 is not None:
+            d2 *= f2
+            ld2 = log2_fraction(d2)
+        if ft1 is not None:
+            dt1 *= ft1
+            ldt1 = log2_fraction(dt1)
+        if ft2 is not None:
+            dt2 *= ft2
+            ldt2 = log2_fraction(dt2)
+        if (identity is None
+                and (f is not None or ft1 is not None or ft2 is not None)
+                and 2 * d != dt1 + dt2):
+            identity = step
+        if s1 is None and not shadow_holds(step, dt1, ldt1, d1, ld1):
             s1 = step
-        if s2 is None and not frac_geq_product(dt2, loss_num, loss_den, d2):
+        if s2 is None and not shadow_holds(step, dt2, ldt2, d2, ld2):
             s2 = step
-        audits.first_shadow_violation = (s1, s2)
-        if (audits.first_sum_bound_violation is None and step >= sum_bound_start
-                and not geq_pow2_scaled(d, d1 + d2, -ae * step, be)):
-            audits.first_sum_bound_violation = step
-        if audits.first_engine_mismatch is None and engine_capital[m] != d:
-            audits.first_engine_mismatch = step
+        if (sum_bound is None and step >= sum_bound_start
+                and not sum_holds(step, d, ld, d1, ld1, d2, ld2)):
+            sum_bound = step
+        log_d[m], log_d1[m], log_d2[m] = ld, ld1, ld2
 
-        log_d[m] = log2_fraction(d)
-        log_d1[m] = log2_fraction(d1)
-        log_d2[m] = log2_fraction(d2)
-        alpha = round_dyadic(alpha_hat, r)
-
-    audits.log2_combined = log_d
-    audits.log2_components = (log_d1, log_d2)
-    return audits
+    audit.first_identity_violation = identity
+    audit.first_shadow_violation = (s1, s2)
+    audit.first_sum_bound_violation = sum_bound
+    audit.first_engine_mismatch = mismatch
+    audit.log2_combined = log_d
+    audit.log2_components = (log_d1, log_d2)
+    return audit

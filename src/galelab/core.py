@@ -92,15 +92,24 @@ def log2_fraction(x: Fraction) -> float:
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return float(num.bit_length() - den.bit_length())
     if num < den:
-        return -log2_fraction(Fraction(den, num))
+        return -_log2_ratio(den, num)
+    return _log2_ratio(num, den)
+
+
+_LN2 = math.log(2)
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """``log2(num / den)`` for integers ``num >= den > 0``, on integers only
+    (int true division rounds correctly, as ``float(Fraction)`` does)."""
     e = num.bit_length() - den.bit_length()
     den_shifted = den << e
     if num < den_shifted:
         e -= 1
         den_shifted >>= 1
     # num / den_shifted is the mantissa in [1, 2)
-    t = float(Fraction(num - den_shifted, den_shifted))
-    return e + math.log1p(t) / math.log(2)
+    t = (num - den_shifted) / den_shifted
+    return e + math.log1p(t) / _LN2
 
 
 def frac_geq_product(x: Fraction, a_num: int, a_den: int, y: Fraction) -> bool:

@@ -350,6 +350,34 @@ class ExpansionSet:
     source_indices: frozenset[int]
 
 
+def _expansion_leaves(h: int, variant: str, roots) -> tuple[np.ndarray, np.ndarray]:
+    """Copy leaves of the parity recursion trees of derived indices.
+
+    Expands the boundary rule top-down, one tree level of every tree at a
+    time, and maps each copy leaf to its inner index.  Returns each
+    leaf's tree (its position in ``roots``) and inner index; a leaf
+    reached several times is listed as often.  A boundary's children are
+    boundaries only when its block number is a multiple of ``p``, so the
+    trees of all boundaries up to any ``N`` have fewer than
+    ``1 / (1 - P/p)`` (below 2) times ``P`` leaves per boundary, for
+    ``P`` parity primes.
+    """
+    p = nth_prime(h + 1)
+    primes = np.array([nth_prime(i) for i in parity_prime_indices(h, variant)],
+                      dtype=np.int64)
+    nodes = np.asarray(roots, dtype=np.int64)
+    tree = np.arange(len(nodes))
+    trees, leaves = [], []
+    while nodes.size:
+        q, r = np.divmod(nodes, p)
+        leaf = (r > 0) | (q == 0)       # a copy, or index 0's verbatim clause
+        trees.append(tree[leaf])
+        leaves.append(q[leaf] * (p - 1) + r[leaf])
+        nodes = (q[~leaf, None] * primes).ravel()
+        tree = np.repeat(tree[~leaf], len(primes))
+    return np.concatenate(trees), np.concatenate(leaves)
+
+
 def expand_index(h: int, index: int, variant: str = "F") -> ExpansionSet:
     """Fully expand the parity recursion for one derived index.
 
@@ -359,21 +387,13 @@ def expand_index(h: int, index: int, variant: str = "F") -> ExpansionSet:
     sequence, the derived symbol equals the parity of the inner symbols
     at the returned indices.
     """
-    p = nth_prime(h + 1)
-    parity_primes = [nth_prime(i) for i in parity_prime_indices(h, variant)]
+    leaves, counts = np.unique(_expansion_leaves(h, variant, [index])[1],
+                               return_counts=True)
+    return ExpansionSet(index, frozenset(leaves[counts % 2 == 1].tolist()))
 
-    def expand(i: int) -> frozenset[int]:
-        if i == 0:
-            return frozenset((0,))
-        q, r = divmod(i, p)
-        if r > 0:
-            return frozenset((q * (p - 1) + r,))
-        acc: frozenset[int] = frozenset()
-        for pk in parity_primes:
-            acc = acc ^ expand(q * pk)
-        return acc
 
-    return ExpansionSet(index, expand(index))
+# block boundaries one verifier pass checks at a time
+_VERIFY_CHUNK = 1024
 
 
 class ParityCheckResult(NamedTuple):
@@ -394,32 +414,35 @@ def verify_parity_structure(h: int, src: DerivedSource, N: int) -> ParityCheckRe
     and the parity of the inner symbols named by :func:`expand_index`.
     The ``q = 0`` boundary is the explicit verbatim clause and is checked
     as such.  Returns the first violated ``q`` on failure.
+
+    Boundaries are checked ``_VERIFY_CHUNK`` at a time, so memory stays
+    flat in ``N``.  A chunk's reference parities are one XOR of gathered
+    columns of the derived prefix.  Its oracle parities count, mod 2, the
+    ones among the inner symbols at the leaves of each boundary's
+    expansion tree: the parity over :func:`expand_index`'s reduced set,
+    since a leaf reached twice adds an even count.
     """
     if not isinstance(src, DerivedSource):
         raise TypeError("verify_parity_structure needs a derived-family source")
     if src.h != h:
         raise ValueError(f"source was built with h={src.h}, not h={h}")
     p = src.block_prime
-    src.ensure(N + 1)
-    for q in range(0, N // p + 1):
-        m = q * p
-        if m > N:
-            break
-        emitted = src.get(m)
-        if q == 0:
-            if emitted != src.inner.get(0):
-                return ParityCheckResult(False, 0)
-        else:
-            ref = 0
-            for pk in src.parity_primes:
-                ref ^= src.get(q * pk)
-            if emitted != ref:
-                return ParityCheckResult(False, q)
-        oracle = 0
-        for idx in expand_index(h, m, src.variant).source_indices:
-            oracle ^= src.inner.get(idx)
-        if emitted != oracle:
-            return ParityCheckResult(False, q)
+    derived = src.prefix_array(N + 1)
+    blocks = N // p + 1
+    for start in range(0, blocks, _VERIFY_CHUNK):
+        qs = np.arange(start, min(start + _VERIFY_CHUNK, blocks))
+        emitted = derived[qs * p]
+        reference = np.zeros_like(emitted)
+        for pk in src.parity_primes:
+            reference ^= derived[qs * pk]
+        if start == 0:
+            reference[0] = src.inner.prefix_array(1)[0]    # the verbatim clause
+        tree, leaves = _expansion_leaves(h, src.variant, qs * p)
+        inner = src.inner.prefix_array(int(leaves.max()) + 1)
+        oracle = np.bincount(tree[inner[leaves] == 1], minlength=len(qs)) & 1
+        bad = np.flatnonzero((emitted != reference) | (emitted != oracle))
+        if bad.size:
+            return ParityCheckResult(False, start + int(bad[0]))
     return ParityCheckResult(True, None)
 
 

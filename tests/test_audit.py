@@ -21,6 +21,7 @@ from galelab.constructions import (
     build_variant_gambler,
     rounding_resolution,
     single_minded_gambler,
+    uniform_gambler,
 )
 from galelab.core import (
     BANKRUPT_LOG2,
@@ -189,3 +190,61 @@ def test_rounding_away_from_half_breaks_the_bounds(monkeypatch, eps, expected):
     g2 = random_valid_gambler(5, 1)
     audit = assert_audits_agree(g1, g2, eps, lambda: prng_source(3), 300)
     assert outcome(audit) == expected
+
+
+def _count_exact_decisions(monkeypatch):
+    calls = {"shadow": 0, "sum": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(constructions, "frac_geq_product",
+                        counted("shadow", constructions.frac_geq_product))
+    monkeypatch.setattr(constructions, "geq_pow2_scaled",
+                        counted("sum", constructions.geq_pow2_scaled))
+    return calls
+
+
+def test_log2_margins_decide_every_step_of_the_variant_audit(monkeypatch):
+    calls = _count_exact_decisions(monkeypatch)
+    g1 = build_variant_gambler(2, "Fprime")
+    g2 = build_variant_gambler(2, "Fdoubleprime")
+    for variant in ("Fprime", "Fdoubleprime"):
+        assert averaging_audit(g1, g2, Fraction(1, 10),
+                               f_family(2, variant, prng_source(3)), 1500).ok
+    assert calls == {"shadow": 0, "sum": 0}
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_infinite_slack_takes_the_exact_path_everywhere(monkeypatch, fault):
+    """With no float margin trusted, every bound between two nonzero
+    capitals is decided exactly, with the same outcome."""
+    if fault:
+        monkeypatch.setattr(constructions, "round_dyadic", _round_away_from_half)
+    monkeypatch.setattr(constructions, "LOG2_SLACK", math.inf)
+    calls = _count_exact_decisions(monkeypatch)
+    g1, g2 = random_valid_gambler(4, 2), random_valid_gambler(5, 1)
+    n, start = 300, 20
+    audit = assert_audits_agree(g1, g2, Fraction(1, 2), lambda: prng_source(3), n, start)
+    assert audit.ok is not fault
+    assert calls["shadow"] > 0
+    assert 0 < calls["sum"] <= n - start + 1 or fault   # the faulty d dies at 20
+
+
+def test_identity_fires_when_the_allocation_ignores_the_bets(monkeypatch):
+    """An allocation update that keeps the ratio whatever the bets won still
+    makes a fair combined gambler, so the engine route agrees with it; but
+    its capital is no longer the average of the shadows, which the shadow
+    recursion exposes.  The old identity, with both shadows defined from
+    the combined capital, cannot see it."""
+    monkeypatch.setattr(constructions, "_alpha_step", lambda alpha, w1, w2: alpha)
+    g1, g2 = two_state_swing_gambler(), uniform_gambler()
+    audit = averaging_audit(g1, g2, Fraction(1, 10), prng_source(3), 200)
+    reference = reference_audit(g1, g2, Fraction(1, 10), prng_source(3), 200)
+    assert audit.first_identity_violation == 2
+    assert reference.first_identity_violation is None
+    assert audit.first_engine_mismatch is None
+    assert audit.log2_combined.tobytes() == reference.log2_combined.tobytes()

@@ -157,6 +157,55 @@ def test_verify_parity_structure_reports_first_tampered_block():
     assert result.first_violation == 2
 
 
+def reference_verify(h, src, n):
+    """The parity audit one boundary at a time: the first ``q`` whose
+    emitted symbol disagrees with its reference or oracle parity."""
+    p = src.block_prime
+    for q in range(n // p + 1):
+        emitted = src.get(q * p)
+        if q == 0:
+            ref = src.inner.get(0)
+        else:
+            ref = 0
+            for pk in src.parity_primes:
+                ref ^= src.get(q * pk)
+        oracle = 0
+        for idx in expand_index(h, q * p, src.variant).source_indices:
+            oracle ^= src.inner.get(idx)
+        if emitted != ref or emitted != oracle:
+            return (False, q)
+    return (True, None)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_parity_structure_matches_reference_after_random_flips(seed):
+    rng = np.random.default_rng(seed)
+    h, variant = [(1, "F"), (2, "F"), (3, "Fprime"), (4, "Fdoubleprime")][seed % 4]
+    n = 2000
+    src = f_family(h, variant, prng_source(seed))
+    src.prefix_array(n + 1)
+    for which in rng.integers(0, 2, size=3):
+        target = src if which else src.inner
+        target._buf[rng.integers(0, n)] ^= 1
+    assert verify_parity_structure(h, src, n) == reference_verify(h, src, n)
+
+
+@pytest.mark.parametrize("h, variant", [(2, "F"), (4, "F"), (3, "Fdoubleprime")])
+def test_verify_parity_structure_oracle_catches_a_flipped_inner_symbol(h, variant):
+    """A flip of the inner source after the fill leaves every emitted symbol,
+    and so every reference parity, as it was: only the oracle can see it."""
+    n = 5000
+    src = f_family(h, variant, prng_source(1))
+    src.prefix_array(n + 1)
+    p = src.block_prime
+    idx = max(expand_index(h, 40 * p, variant).source_indices)
+    first = min(q for q in range(n // p + 1)
+                if idx in expand_index(h, q * p, variant).source_indices)
+    assert 0 < first <= 40
+    src.inner._buf[idx] ^= 1
+    assert verify_parity_structure(h, src, n) == (False, first)
+
+
 def test_verify_parity_structure_rejects_plain_sources():
     with pytest.raises(TypeError):
         verify_parity_structure(2, prng_source(1), 100)
