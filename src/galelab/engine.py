@@ -85,6 +85,10 @@ CHUNK = 256
 # at 32 KB however long the run
 GATHER = 4096
 
+# nodes per level block of the fair-betting check: a block's states and
+# live flags take 320 KB, so the check's memory stays flat in its depth
+NODE_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class Capital:
@@ -535,12 +539,19 @@ def sgale_log2(log2_caps, lengths: Iterable[int], s: Fraction, k: int) -> np.nda
     length ``n``, from the log2 capitals ``d(w)`` of those prefixes.
 
     ``s = 1`` is the identity (the plain martingale) and bankrupt stays
-    ``-inf``.  The float of the rational exponent ``(s - 1) * n`` comes
-    from correctly rounded integer division of Python ints.
+    ``-inf``.  The float of the rational exponent ``(s - 1) * n`` is one
+    correctly rounded division: of float64 numbers over an int64 array
+    when the numerator ``num * n`` and the denominator are exact in a
+    float64, and of Python ints otherwise, with the same value.
     """
     e = Fraction(s) - 1
-    shift = np.array([e.numerator * n / e.denominator for n in lengths],
-                     dtype=np.float64)
+    num, den = e.numerator, e.denominator
+    n = lengths if isinstance(lengths, np.ndarray) else np.array(list(lengths))
+    if (n.dtype.kind in "iu" and den <= 2**53
+            and abs(num) * int(np.abs(n).max(initial=0)) < 2**53):
+        shift = n.astype(np.int64) * float(num) / float(den)
+    else:
+        shift = np.array([num * m / den for m in n.tolist()], dtype=np.float64)
     return np.asarray(log2_caps, dtype=np.float64) + shift * math.log2(k)
 
 
@@ -553,40 +564,72 @@ def check_martingale_property(spec: GamblerSpec, depth: int) -> bool:
 
     For every string ``w`` with ``|w| < depth`` the children values must
     satisfy ``sum_b d(wb) = k * d(w)`` in exact arithmetic, with trailing
-    reads drawn consistently from the enumerated string itself.  Node
-    count is ``k**depth``; keep ``depth`` small.
+    reads drawn from the enumerated string itself.  A child's value is
+    ``d(wb) = d(w) * k * w_b`` for the bet row ``w`` of the betting state
+    reached after ``w``, so the identity reads ``d(w) * sum_b k * w_b =
+    k * d(w)``: it holds when ``d(w) = 0``, and otherwise exactly when
+    ``sum_b k * w_b == k``.  The verdict therefore depends only on which
+    rows are reached with nonzero capital, and no capital is multiplied.
+
+    The strings are enumerated level by level in numpy.  Node ``x`` of
+    level ``m + 1`` is its string read as a base-``k`` number: its parent
+    is ``x // k``, its newest symbol ``x % k``, and a trailing head at
+    position ``p`` reads the digit ``(x // k**(m - p)) % k`` (a head at
+    or past the newest symbol reads that symbol).  Each node carries its
+    betting state, ``trans[q[parent], code]``, and whether its capital is
+    nonzero; every state a live node reaches must pass the exact row
+    test.  The cost is ``k**depth`` nodes at ``O(h)`` array operations
+    per level.  A level wider than ``NODE_BLOCK`` nodes is expanded depth
+    first in blocks of that many, so memory is at most ``NODE_BLOCK``
+    nodes per level however deep the tree.  A block without a live node
+    is not expanded, since every capital below it is zero.
     """
     if depth > 20:
         raise ValueError("depth > 20 would enumerate too many nodes")
-    k = spec.k
-    h = spec.head_count
-    mu_pre, mu_cyc = (mu.tolist() for mu in _positional_orbit(spec))
-    q_ids, q_index, trans, bet_rows = _compile_betting(spec)
-    path: list[int] = []
+    k, h = spec.k, spec.head_count
+    pre, cyc = (mu.tolist() for mu in _positional_orbit(spec))
+    _, q_index, trans, bet_rows = _compile_betting(spec)
+    trans = np.array(trans, dtype=np.int32)
+    rows = [[bets[b] for b in range(k)] for bets in bet_rows]
+    fair = np.array([sum(k * w for w in row) == k for row in rows])
+    nonzero = np.array([[w != 0 for w in row] for row in rows], dtype=bool)
+    places = [k ** i for i in range(h - 1, 0, -1)]  # of the trailing reads in a code
+    # node numbers stay below k**depth: int64 up to 2**63, Python ints past it
+    number = np.int64 if k ** depth < 2**63 else object
+    heads = [[0] * (h - 1)]  # heads[m]: trailing positions before step m
+    for m in range(depth - 1):
+        bits = pre[m] if m < len(pre) else cyc[(m - len(pre)) % len(cyc)]
+        heads.append([p + b for p, b in zip(heads[-1], bits)])
 
-    def node(m: int, q: int, cap: Fraction, pos: tuple[int, ...]) -> bool:
-        if m >= depth:
+    def below(m: int, x0: int, q: np.ndarray, live: np.ndarray) -> bool:
+        """Whether every live node under level-``m`` nodes ``x0, x0+1, ...``
+        with states ``q`` and live flags ``live`` passes, to level depth-1."""
+        if m + 1 >= depth:
             return True
-        row = bet_rows[q].weights
-        children = [cap * k * row[b] for b in range(k)]
-        if sum(children) != k * cap:
-            return False
-        bits = mu_pre[m] if m < len(mu_pre) else mu_cyc[(m - len(mu_pre)) % len(mu_cyc)]
-        nxt = tuple(p + b for p, b in zip(pos, bits))
-        for b in range(k):
-            code = 0
-            for i in range(h - 1):
-                code = code * k + (path[pos[i]] if pos[i] < m else b)
-            code = code * k + b
-            path.append(b)
-            ok = node(m + 1, trans[q][code], children[b], nxt)
-            path.pop()
-            if not ok:
+        step = max(NODE_BLOCK // k, 1)
+        for i in range(0, len(q), step):
+            qs, ls = q[i:i + step], live[i:i + step]
+            if not ls.any():
+                continue
+            # a child's read at offset r >= 1 behind its newest symbol is
+            # its parent's digit at offset r - 1
+            x = np.arange(x0 + i, x0 + i + len(qs), dtype=number)
+            code, newest = np.zeros(len(qs), dtype=np.int64), 1
+            for p, place in zip(heads[m], places):
+                r = m - min(p, m)
+                if r:
+                    code += (x // k ** (r - 1) % k * place).astype(np.int64)
+                else:
+                    newest += place
+            qc = trans[qs[:, None], code[:, None] + np.arange(k) * newest].ravel()
+            lc = (ls[:, None] & nonzero[qs]).ravel()
+            if not fair[qc[lc]].all() or not below(m + 1, (x0 + i) * k, qc, lc):
                 return False
         return True
 
-    return node(0, q_index[spec.initial_q], spec.initial_capital,
-                tuple([0] * (h - 1)))
+    q = np.array([q_index[spec.initial_q]])
+    live = np.array([spec.initial_capital != 0])
+    return depth <= 0 or (bool(fair[q[live]].all()) and below(0, 0, q, live))
 
 
 def measure_speeds(spec: GamblerSpec) -> SpeedProfile:
@@ -637,9 +680,9 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
-    lengths = (trace.steps + 1).tolist()
+    lengths = trace.steps + 1
     log2 = trace.log2_capitals()
-    columns = [lengths, log2.tolist()]
+    columns = [lengths.tolist(), log2.tolist()]
     columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]
     row = ",".join(["{!r}"] * len(columns)) + "\n"
     out.writelines(map(row.format, *columns))

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, exit codes, artifacts, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from galelab import cli
 from galelab.core import load_gambler, gambler_to_json
 from galelab.sequences import f_family, prng_source, read_sequence
+
+from gamblers import overbetting_gambler
 
 
 def run(*argv):
@@ -102,6 +105,19 @@ def test_verify_rejects_invalid_gambler_file(tmp_path):
     doc["betting_states"][0]["bets"] = ["1/2", "1/4"]
     g.write_text(json.dumps(doc))
     assert run("verify", "--check", "spec", "--gambler", str(g)) == 1
+
+
+def test_verify_martingale_rejects_overbetting_gambler_file(tmp_path, capsys):
+    # the file loads, but gambler files are validated before any check
+    # runs, so the row summing to 3/2 fails validation first
+    g = tmp_path / "over.json"
+    g.write_text(json.dumps(gambler_to_json(overbetting_gambler())))
+    assert load_gambler(g).betting["q0"].bets.total() == Fraction(3, 2)
+    assert run("verify", "--check", "martingale", "--gambler", str(g),
+               "--depth", "4") == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert "validation failure: invalid gambler" in err
+    assert "fair-betting identity holds" not in out
 
 
 def test_verify_parity_structure_command():

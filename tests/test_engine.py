@@ -238,6 +238,20 @@ def test_sgale_bankrupt_stays_bankrupt():
     assert sgale_log2([float("-inf")], [5], Fraction(2), 2)[0] == float("-inf")
 
 
+@pytest.mark.parametrize("s", [Fraction(4, 5), Fraction(1, 3), Fraction(999, 1000),
+                               Fraction(1, 7), Fraction(3, 2),
+                               Fraction(12345678901, 10**11), Fraction(1, 2**54 + 1)])
+def test_sgale_shift_is_one_correctly_rounded_division(s):
+    # the float path (small numerators) and the Python-int path (the last
+    # two s) must both give the correctly rounded Python-int quotient
+    lengths = np.arange(1, 200_001)
+    caps = np.linspace(-50.0, 3000.0, len(lengths))
+    e = s - 1
+    want = caps + np.array([e.numerator * n / e.denominator for n in lengths.tolist()]) * 2.0
+    for given_lengths in (lengths, lengths.tolist()):
+        assert sgale_log2(caps, given_lengths, s, 4).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
