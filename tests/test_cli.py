@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, exit codes, artifacts, reproducibility."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -249,6 +250,62 @@ def test_bad_rational_exits_64(tmp_path):
 def test_unsupported_h_is_validation_failure(tmp_path):
     assert run("build-gambler", "--kind", "parity", "--h", "99",
                "--out", str(tmp_path / "g.json")) == 1
+
+
+def test_unsupported_h_in_a_shorthand_is_a_usage_error(capsys):
+    # a shorthand is part of the command line, so a bad one is a usage
+    # error; build-gambler's --h names a value the builder rejects
+    assert run("verify", "--check", "martingale",
+               "--gambler", "parity:h=99") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_instability_reads_options_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 2, "seed": 3, "n": 400, "epsilon": "1/5"}))
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run("instability", "--config", str(cfg), "--out", str(a)) == 0
+    echoed = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(echoed[len("# config "):]) == {
+        "command": "instability", "h": 2, "seed": 3, "n": 400,
+        "epsilon": "1/5", "out": str(a)}
+    assert run("instability", "--h", "2", "--seed", "3", "--n", "400",
+               "--epsilon", "1/5", "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("gen-seq", "--config", str(cfg),
+               "--out", str(tmp_path / "y.seq")) == cli.EXIT_IO
+    assert str(cfg) in capsys.readouterr().err
+
+
+SUBCOMMAND_OPTIONS = {
+    "gen-seq": {"--variant", "--h", "--seed", "--n", "--out", "--config"},
+    "build-gambler": {"--kind", "--h", "--symbol", "--out", "--config"},
+    "combine": {"--g1", "--g2", "--epsilon", "--out", "--config"},
+    "simulate": {"--gambler", "--seq", "--n", "--mode", "--sgale", "--out",
+                 "--config"},
+    "verify": {"--check", "--gambler", "--depth", "--n-max", "--variant",
+               "--h", "--seed", "--n", "--config"},
+    "sweep": {"--h", "--n", "--seq", "--seq-seed", "--seq-variant",
+              "--samples", "--max-t", "--max-q", "--bet-denom", "--rng-seed",
+              "--include", "--out", "--config"},
+    "instability": {"--h", "--seed", "--n", "--epsilon", "--out", "--config"},
+    "estimate-dim": {"--seq", "--gambler", "--n", "--out", "--config"},
+    "report": {"--in"},
+}
+
+
+def test_subcommand_option_sets_are_pinned():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {name: {s for a in p._actions for s in a.option_strings}
+             - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert found == SUBCOMMAND_OPTIONS
 
 
 def test_csv_embeds_config_line(tmp_path):
