@@ -107,11 +107,8 @@ def _run_record(spec: GamblerSpec, source: SequenceSource, n: int,
 @dataclass(frozen=True)
 class DimensionEntry:
     gambler_id: str
-    head_count: int
     exponent: float
-    liminf: float
     upper_bound: float
-    best_s: float | None
     bankrupt: bool
 
     def succeeds_at(self, s: float) -> bool:
@@ -175,11 +172,8 @@ def estimate_predim_upper(
         upper = 1.0 if bankrupt else 1.0 - rec.exponent
         entries.append(DimensionEntry(
             gambler_id=rec.gambler_id,
-            head_count=spec.head_count,
             exponent=rec.exponent,
-            liminf=rec.liminf,
             upper_bound=upper,
-            best_s=None if bankrupt else upper,
             bankrupt=bankrupt,
         ))
     return DimensionReport(seq_id=source.describe(), n=n, entries=entries)

@@ -10,7 +10,8 @@ byte.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 64 usage.
 Flag values win over ``--config`` file entries, which win over built-in
-defaults.
+defaults.  Subcommands raise ``ValueError`` for a validation failure and
+``OSError`` for an I/O error; ``main`` turns each into its exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import analysis, constructions, core, engine, sequences
 
@@ -30,16 +30,11 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
+_FAMILIES = ("F", "Fprime", "Fdoubleprime")
+_REQUIRED = object()
+
 
 class _UsageError(Exception):
-    pass
-
-
-class _IOError(Exception):
-    pass
-
-
-class _ValidationError(Exception):
     pass
 
 
@@ -52,29 +47,41 @@ class _Parser(argparse.ArgumentParser):
 # option resolution
 # ---------------------------------------------------------------------------
 
-def _load_config(path) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _IOError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _IOError(f"config {path} is not a JSON object")
-    return doc
+class _Options:
+    """One run's options: a flag wins over a ``--config`` entry, which wins
+    over the default.  Calling it with a name resolves that option."""
+
+    def __init__(self, args):
+        self.args, self.cfg = args, {}
+        path = getattr(args, "config", None)
+        if not path:
+            return
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                self.cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise OSError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(self.cfg, dict):
+            raise OSError(f"config {path} is not a JSON object")
+
+    def __call__(self, name: str, default=_REQUIRED):
+        value = getattr(self.args, name, None)
+        if value is None:
+            value = self.cfg.get(name, None if default is _REQUIRED else default)
+        if value is None and default is _REQUIRED:
+            raise _UsageError(f"missing required option --{name.replace('_', '-')}")
+        return value
+
+    def out(self):
+        """The ``--out`` path, checked before any computation starts."""
+        path = self("out")
+        parent = os.path.dirname(os.path.abspath(str(path))) or "."
+        if not os.path.isdir(parent):
+            raise OSError(f"output directory does not exist: {parent}")
+        return path
 
 
-def _resolve(args, cfg: dict, name: str, default=None, required: bool = False):
-    value = getattr(args, name, None)
-    if value is None:
-        value = cfg.get(name, default)
-    if value is None and required:
-        raise _UsageError(f"missing required option --{name.replace('_', '-')}")
-    return value
-
-
-def _fraction(text, what: str) -> Fraction:
+def _fraction(text, what: str):
     try:
         return core.parse_rational(str(text))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -85,11 +92,9 @@ def _echo(config: dict) -> None:
     print("# config " + json.dumps(config, sort_keys=True))
 
 
-def _check_out(path) -> None:
-    """Validate an output path before any computation starts."""
-    parent = os.path.dirname(os.path.abspath(str(path))) or "."
-    if not os.path.isdir(parent):
-        raise _IOError(f"output directory does not exist: {parent}")
+def _verdict(ok: bool, passed: str, failed: str) -> int:
+    print(passed if ok else failed)
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -99,285 +104,215 @@ def _check_out(path) -> None:
 def _load_sequence(path) -> sequences.FileSource:
     try:
         return sequences.read_sequence(path)
-    except OSError as exc:
-        raise _IOError(f"cannot read sequence {path}: {exc}") from exc
-    except ValueError as exc:
-        raise _IOError(str(exc)) from exc
+    except ValueError as exc:  # a malformed file is an i/o error
+        raise OSError(str(exc)) from exc
 
 
-def _kv_params(ref: str) -> dict:
-    params = {}
-    for part in ref.split(",") if ref else []:
-        key, _, value = part.partition("=")
-        params[key.strip()] = value.strip()
-    return params
+# Gambler kinds, shared by ``build-gambler --kind`` and the shorthands;
+# each builder reads its parameters from a dict of strings or ints.
+_KINDS = {
+    "parity": lambda p: constructions.build_parity_gambler(int(p["h"])),
+    "fprime": lambda p: constructions.build_variant_gambler(int(p["h"]), "Fprime"),
+    "fdoubleprime":
+        lambda p: constructions.build_variant_gambler(int(p["h"]), "Fdoubleprime"),
+    "uniform": lambda p: constructions.uniform_gambler(int(p.get("k", 2))),
+    "allin": lambda p: constructions.single_minded_gambler(
+        int(p.get("sym", 0)), int(p.get("k", 2))),
+}
 
 
-def _resolve_gambler(ref: str) -> core.GamblerSpec:
-    """A gambler file path, or a builder shorthand like ``parity:h=2``."""
+def _build(kind, params: dict) -> core.GamblerSpec:
+    if kind not in _KINDS:
+        raise _UsageError(f"unknown gambler kind {kind!r}")
+    return _KINDS[kind](params)
+
+
+def _read_gambler(ref: str) -> core.GamblerSpec:
+    """A gambler file path, or a shorthand like ``parity:h=2``; unvalidated."""
     kind, sep, rest = ref.partition(":")
-    if sep or kind in ("uniform", "allin"):
-        params = _kv_params(rest)
+    # kinds with no required parameter may be named bare
+    if not sep and kind not in ("uniform", "allin"):
         try:
-            if kind == "parity":
-                return constructions.build_parity_gambler(int(params["h"]))
-            if kind == "fprime":
-                return constructions.build_variant_gambler(int(params["h"]), "Fprime")
-            if kind == "fdoubleprime":
-                return constructions.build_variant_gambler(
-                    int(params["h"]), "Fdoubleprime")
-            if kind == "uniform":
-                return constructions.uniform_gambler(int(params.get("k", 2)))
-            if kind == "allin":
-                return constructions.single_minded_gambler(
-                    int(params.get("sym", 0)), int(params.get("k", 2)))
-        except (KeyError, ValueError) as exc:
-            raise _UsageError(f"bad gambler shorthand {ref!r}: {exc}") from exc
-        raise _UsageError(f"unknown gambler shorthand {ref!r}")
+            return core.load_gambler(ref)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise OSError(f"malformed gambler file {ref}: {exc}") from exc
+    params = {key.strip(): value.strip() for key, _, value in
+              (part.partition("=") for part in rest.split(",") if part)}
     try:
-        spec = core.load_gambler(ref)
-    except OSError as exc:
-        raise _IOError(f"cannot read gambler {ref}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _IOError(f"malformed gambler file {ref}: {exc}") from exc
+        return _build(kind, params)
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(f"bad gambler shorthand {ref!r}: {exc}") from exc
+
+
+def _valid(spec: core.GamblerSpec, what: str) -> core.GamblerSpec:
     report = core.validate_gambler(spec)
     if not report.ok:
-        detail = "; ".join(str(v) for v in report)
-        raise _ValidationError(f"invalid gambler {ref}: {detail}")
+        raise ValueError(f"{what}: " + "; ".join(str(v) for v in report))
     return spec
 
 
-def _require_valid(spec: core.GamblerSpec, what: str) -> None:
-    report = core.validate_gambler(spec)
-    if not report.ok:
-        detail = "; ".join(str(v) for v in report)
-        raise _ValidationError(f"{what} failed validation: {detail}")
+def _gambler(ref: str) -> core.GamblerSpec:
+    return _valid(_read_gambler(ref), f"invalid gambler {ref}")
+
+
+def _write_gambler(spec: core.GamblerSpec, out, config: dict) -> int:
+    _echo(config)
+    core.save_gambler(spec, out, config=config)
+    print(f"wrote {spec.label()} ({spec.head_count} heads) to {out}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_seq(args) -> int:
-    cfg = _load_config(args.config)
-    variant = _resolve(args, cfg, "variant", "F")
-    seed = int(_resolve(args, cfg, "seed", required=True))
-    n = int(_resolve(args, cfg, "n", required=True))
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
-    if variant == "raw":
-        src = sequences.prng_source(seed)
-        h = None
-    else:
-        h = int(_resolve(args, cfg, "h", required=True))
-        src = sequences.f_family(h, variant, sequences.prng_source(seed))
-    config = {"command": "gen-seq", "variant": variant, "h": h,
-              "seed": seed, "n": n, "out": str(out)}
-    _echo(config)
-    try:
-        sequences.write_sequence(src, n, out)
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
+def _cmd_gen_seq(opt: _Options) -> int:
+    variant = opt("variant", "F")
+    seed, n = int(opt("seed")), int(opt("n"))
+    out = opt.out()
+    src = sequences.prng_source(seed)
+    h = None if variant == "raw" else int(opt("h"))
+    if h is not None:
+        src = sequences.f_family(h, variant, src)
+    _echo({"command": "gen-seq", "variant": variant, "h": h,
+           "seed": seed, "n": n, "out": str(out)})
+    sequences.write_sequence(src, n, out)
     print(f"wrote {n} symbols of {src.describe()} to {out}")
     return EXIT_OK
 
 
-def _cmd_build_gambler(args) -> int:
-    cfg = _load_config(args.config)
-    kind = _resolve(args, cfg, "kind", required=True)
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
+def _cmd_build_gambler(opt: _Options) -> int:
+    kind = str(opt("kind"))
+    out = opt.out()
     config = {"command": "build-gambler", "kind": kind, "out": str(out)}
-    if kind == "uniform":
-        spec = constructions.uniform_gambler()
-    elif kind == "allin":
-        symbol = int(_resolve(args, cfg, "symbol", 0))
-        spec = constructions.single_minded_gambler(symbol)
-        config["symbol"] = symbol
-    else:
-        h = int(_resolve(args, cfg, "h", required=True))
-        config["h"] = h
-        if kind == "parity":
-            spec = constructions.build_parity_gambler(h)
-        elif kind == "fprime":
-            spec = constructions.build_variant_gambler(h, "Fprime")
-        elif kind == "fdoubleprime":
-            spec = constructions.build_variant_gambler(h, "Fdoubleprime")
-        else:
-            raise _UsageError(f"unknown gambler kind {kind!r}")
-    _require_valid(spec, f"built gambler {spec.label()}")
-    _echo(config)
-    try:
-        core.save_gambler(spec, out, config=config)
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {spec.label()} ({spec.head_count} heads) to {out}")
-    return EXIT_OK
+    params = {}
+    if kind == "allin":
+        params["sym"] = config["symbol"] = int(opt("symbol", 0))
+    elif kind != "uniform":
+        params["h"] = config["h"] = int(opt("h"))
+    spec = _build(kind, params)
+    _valid(spec, f"built gambler {spec.label()} failed validation")
+    return _write_gambler(spec, out, config)
 
 
-def _cmd_combine(args) -> int:
-    cfg = _load_config(args.config)
-    g1_path = _resolve(args, cfg, "g1", required=True)
-    g2_path = _resolve(args, cfg, "g2", required=True)
-    eps = _fraction(_resolve(args, cfg, "epsilon", required=True), "--epsilon")
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
-    g1 = _resolve_gambler(str(g1_path))
-    g2 = _resolve_gambler(str(g2_path))
-    try:
-        combined = constructions.average_gamblers(g1, g2, eps)
-    except ValueError as exc:
-        raise _ValidationError(str(exc)) from exc
-    _require_valid(combined, "combined gambler")
-    config = {"command": "combine", "g1": str(g1_path), "g2": str(g2_path),
-              "epsilon": str(eps), "out": str(out)}
-    _echo(config)
-    try:
-        core.save_gambler(combined, out, config=config)
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {combined.label()} ({combined.head_count} heads) to {out}")
-    return EXIT_OK
+def _cmd_combine(opt: _Options) -> int:
+    g1_ref, g2_ref = str(opt("g1")), str(opt("g2"))
+    eps = _fraction(opt("epsilon"), "--epsilon")
+    out = opt.out()
+    combined = constructions.average_gamblers(
+        _gambler(g1_ref), _gambler(g2_ref), eps)
+    _valid(combined, "combined gambler failed validation")
+    return _write_gambler(combined, out, {
+        "command": "combine", "g1": g1_ref, "g2": g2_ref,
+        "epsilon": str(eps), "out": str(out)})
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    gambler_ref = _resolve(args, cfg, "gambler", required=True)
-    seq_path = _resolve(args, cfg, "seq", required=True)
-    mode = _resolve(args, cfg, "mode", "log2")
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
-    sgales = _resolve(args, cfg, "sgale", []) or []
-    spec = _resolve_gambler(str(gambler_ref))
+def _cmd_simulate(opt: _Options) -> int:
+    gambler_ref, seq_path = str(opt("gambler")), opt("seq")
+    mode = opt("mode", "log2")
+    out = opt.out()
+    sgales = opt("sgale", []) or []
+    spec = _gambler(gambler_ref)
     src = _load_sequence(seq_path)
-    n = int(_resolve(args, cfg, "n", src.length))
+    n = int(opt("n", src.length))
     if n > src.length:
-        raise _ValidationError(
+        raise ValueError(
             f"sequence {seq_path} holds {src.length} symbols, cannot simulate {n}")
     s_values = [(str(s), _fraction(s, "--sgale")) for s in sgales]
-    config = {"command": "simulate", "gambler": str(gambler_ref),
+    config = {"command": "simulate", "gambler": gambler_ref,
               "seq": str(seq_path), "n": n, "mode": mode,
               "sgale": [str(s) for s in sgales], "out": str(out)}
     _echo(config)
     trace = engine.run_martingale(spec, src, n, mode=mode)
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            engine.write_trajectory_csv(trace, fh, s_values, config=config)
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        engine.write_trajectory_csv(trace, fh, s_values, config=config)
     final = trace.final_capital.log2()
     print(f"final log2 capital after {n} steps: "
           f"{'-inf' if final == core.BANKRUPT_LOG2 else final}")
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    check = _resolve(args, cfg, "check", required=True)
+def _cmd_verify(opt: _Options) -> int:
+    check = opt("check")
     config = {"command": "verify", "check": check}
 
-    if check in ("spec", "martingale", "speeds"):
-        gambler_ref = _resolve(args, cfg, "gambler", required=True)
-        spec = _resolve_gambler(str(gambler_ref))
-        config["gambler"] = str(gambler_ref)
-        if check == "spec":
-            _echo(config)
-            report = core.validate_gambler(spec)
-            if not report.ok:
-                for v in report:
-                    print(f"violation {v}")
-                return EXIT_VALIDATION
-            print("gambler is structurally valid")
-            return EXIT_OK
-        if check == "martingale":
-            depth = int(_resolve(args, cfg, "depth", 10))
-            config["depth"] = depth
-            _echo(config)
-            if not engine.check_martingale_property(spec, depth):
-                print(f"fair-betting identity violated below depth {depth}")
-                return EXIT_VALIDATION
-            print(f"fair-betting identity holds to depth {depth}")
-            return EXIT_OK
-        n_max = int(_resolve(args, cfg, "n_max", 100_000))
-        config["n_max"] = n_max
-        _echo(config)
-        if not engine.check_speed_bounds(spec, n_max):
-            print(f"head positions stray beyond the bound before n={n_max}")
-            return EXIT_VALIDATION
-        print(f"head positions stay within the bound for all n <= {n_max}")
-        return EXIT_OK
-
     if check == "parity":
-        h = int(_resolve(args, cfg, "h", required=True))
-        variant = _resolve(args, cfg, "variant", "F")
-        n = int(_resolve(args, cfg, "n", 10_000))
-        seed = int(_resolve(args, cfg, "seed", 1))
+        h = int(opt("h"))
+        variant = opt("variant", "F")
+        n, seed = int(opt("n", 10_000)), int(opt("seed", 1))
         src = sequences.f_family(h, variant, sequences.prng_source(seed))
         config.update({"h": h, "variant": variant, "n": n, "seed": seed})
         _echo(config)
         result = sequences.verify_parity_structure(h, src, n)
-        if not result.ok:
-            print(f"parity structure violated at block q={result.first_violation}")
-            return EXIT_VALIDATION
-        print(f"parity structure verified on {src.describe()} up to index {n}")
-        return EXIT_OK
+        return _verdict(
+            result.ok,
+            f"parity structure verified on {src.describe()} up to index {n}",
+            f"parity structure violated at block q={result.first_violation}")
+    if check not in ("spec", "martingale", "speeds"):
+        raise _UsageError(f"unknown check {check!r}")
 
-    raise _UsageError(f"unknown check {check!r}")
+    gambler_ref = config["gambler"] = str(opt("gambler"))
+    if check == "spec":
+        # the file is loaded unvalidated: listing its violations is the check
+        report = core.validate_gambler(_read_gambler(gambler_ref))
+        _echo(config)
+        return _verdict(report.ok, "gambler is structurally valid",
+                        "\n".join(f"violation {v}" for v in report))
+
+    # validated first: an unknown transition target would make either
+    # check raise instead of answering
+    spec = _gambler(gambler_ref)
+    if check == "martingale":
+        depth = config["depth"] = int(opt("depth", 10))
+        _echo(config)
+        return _verdict(engine.check_martingale_property(spec, depth),
+                        f"fair-betting identity holds to depth {depth}",
+                        f"fair-betting identity violated below depth {depth}")
+    n_max = config["n_max"] = int(opt("n_max", 100_000))
+    _echo(config)
+    return _verdict(engine.check_speed_bounds(spec, n_max),
+                    f"head positions stay within the bound for all n <= {n_max}",
+                    f"head positions stray beyond the bound before n={n_max}")
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    h = int(_resolve(args, cfg, "h", required=True))
-    n = int(_resolve(args, cfg, "n", required=True))
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
-    seq_path = _resolve(args, cfg, "seq")
+def _cmd_sweep(opt: _Options) -> int:
+    h, n = int(opt("h")), int(opt("n"))
+    out = opt.out()
+    seq_path = opt("seq", None)
     if seq_path:
         src = _load_sequence(seq_path)
     else:
-        seq_seed = int(_resolve(args, cfg, "seq_seed", 1))
-        variant = _resolve(args, cfg, "seq_variant", "F")
-        src = sequences.f_family(h, variant, sequences.prng_source(seq_seed))
+        seq_seed = int(opt("seq_seed", 1))
+        src = sequences.f_family(h, opt("seq_variant", "F"),
+                                 sequences.prng_source(seq_seed))
     budget = analysis.SweepBudget(
-        max_t=int(_resolve(args, cfg, "max_t", 4)),
-        max_q=int(_resolve(args, cfg, "max_q", 6)),
-        bet_denominator_max=int(_resolve(args, cfg, "bet_denom", 8)),
-        samples=int(_resolve(args, cfg, "samples", 500)),
-        seed=int(_resolve(args, cfg, "rng_seed", 0)),
+        max_t=int(opt("max_t", 4)),
+        max_q=int(opt("max_q", 6)),
+        bet_denominator_max=int(opt("bet_denom", 8)),
+        samples=int(opt("samples", 500)),
+        seed=int(opt("rng_seed", 0)),
     )
-    include_refs = _resolve(args, cfg, "include", []) or []
-    include = [_resolve_gambler(str(ref)) for ref in include_refs]
-    config = {"command": "sweep", "h": h, "n": n, "seq": src.describe(),
-              "budget": budget.to_obj(), "include": [str(r) for r in include_refs],
-              "out": str(out)}
-    _echo(config)
+    include_refs = opt("include", []) or []
+    include = [_gambler(str(ref)) for ref in include_refs]
+    _echo({"command": "sweep", "h": h, "n": n, "seq": src.describe(),
+           "budget": budget.to_obj(), "include": [str(r) for r in include_refs],
+           "out": str(out)})
     report = analysis.adversarial_sweep(h, src, n, budget, include=include)
-    try:
-        analysis.write_jsonl(out, report.to_objs())
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
+    analysis.write_jsonl(out, report.to_objs())
     print(f"max sampled exponent: "
           f"{analysis.encode_float(report.max_sampled_exponent)} "
           f"(best overall: {report.best_overall_id})")
     return EXIT_OK
 
 
-def _cmd_instability(args) -> int:
-    cfg = _load_config(args.config)
-    h = int(_resolve(args, cfg, "h", required=True))
-    seed = int(_resolve(args, cfg, "seed", required=True))
-    n = int(_resolve(args, cfg, "n", required=True))
-    eps = _fraction(_resolve(args, cfg, "epsilon", "1/10"), "--epsilon")
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
-    config = {"command": "instability", "h": h, "seed": seed, "n": n,
-              "epsilon": str(eps), "out": str(out)}
-    _echo(config)
+def _cmd_instability(opt: _Options) -> int:
+    h, seed, n = int(opt("h")), int(opt("seed")), int(opt("n"))
+    eps = _fraction(opt("epsilon", "1/10"), "--epsilon")
+    out = opt.out()
+    _echo({"command": "instability", "h": h, "seed": seed, "n": n,
+           "epsilon": str(eps), "out": str(out)})
     report = analysis.instability_experiment(h, seed, n, eps)
-    try:
-        analysis.write_jsonl(out, report.to_objs())
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
+    analysis.write_jsonl(out, report.to_objs())
     for tag in ("fprime", "fdoubleprime"):
         row = report.matrix[tag]
         print(f"{tag}: X={analysis.encode_float(row['X'])} "
@@ -387,38 +322,30 @@ def _cmd_instability(args) -> int:
     return EXIT_OK
 
 
-def _cmd_estimate_dim(args) -> int:
-    cfg = _load_config(args.config)
-    seq_path = _resolve(args, cfg, "seq", required=True)
-    gambler_refs = _resolve(args, cfg, "gambler", []) or []
+def _cmd_estimate_dim(opt: _Options) -> int:
+    seq_path = opt("seq")
+    gambler_refs = opt("gambler", []) or []
     if not gambler_refs:
         raise _UsageError("estimate-dim needs at least one --gambler")
-    out = _resolve(args, cfg, "out", required=True)
-    _check_out(out)
+    out = opt.out()
     src = _load_sequence(seq_path)
-    n = int(_resolve(args, cfg, "n", src.length))
-    gamblers = [_resolve_gambler(str(ref)) for ref in gambler_refs]
-    config = {"command": "estimate-dim", "seq": str(seq_path), "n": n,
-              "gambler": [str(r) for r in gambler_refs], "out": str(out)}
-    _echo(config)
+    n = int(opt("n", src.length))
+    gamblers = [_gambler(str(ref)) for ref in gambler_refs]
+    _echo({"command": "estimate-dim", "seq": str(seq_path), "n": n,
+           "gambler": [str(r) for r in gambler_refs], "out": str(out)})
     report = analysis.estimate_predim_upper(src, gamblers, n)
-    try:
-        analysis.write_jsonl(out, report.to_objs())
-    except OSError as exc:
-        raise _IOError(f"cannot write {out}: {exc}") from exc
+    analysis.write_jsonl(out, report.to_objs())
     print(f"aggregate upper bound: {report.aggregate}")
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    path = args.infile
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+def _cmd_report(opt: _Options) -> int:
+    path = opt("infile")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             lines = [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise _IOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _IOError(f"malformed report {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise OSError(f"malformed report {path}: {exc}") from exc
     runs = [obj for obj in lines if obj.get("type") == "run"]
     for obj in lines:
         if obj.get("type") == "config":
@@ -441,93 +368,63 @@ def _cmd_report(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="galelab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config")
+    writes = argparse.ArgumentParser(add_help=False, parents=[configured])
+    writes.add_argument("--out")
 
-    p = sub.add_parser("gen-seq", help="generate a sequence file")
-    p.add_argument("--variant", choices=("F", "Fprime", "Fdoubleprime", "raw"))
-    p.add_argument("--h", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_gen_seq)
+    def command(name, func, summary, *int_flags, parents=(writes,)):
+        p = sub.add_parser(name, help=summary, parents=list(parents))
+        for flag in int_flags:
+            p.add_argument(flag, type=int)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("build-gambler", help="build and save a gambler")
-    p.add_argument("--kind",
-                   choices=("parity", "fprime", "fdoubleprime", "uniform", "allin"))
-    p.add_argument("--h", type=int)
-    p.add_argument("--symbol", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_build_gambler)
+    p = command("gen-seq", _cmd_gen_seq, "generate a sequence file",
+                "--h", "--seed", "--n")
+    p.add_argument("--variant", choices=_FAMILIES + ("raw",))
 
-    p = sub.add_parser("combine", help="average two gamblers into one")
-    p.add_argument("--g1")
-    p.add_argument("--g2")
-    p.add_argument("--epsilon")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_combine)
+    p = command("build-gambler", _cmd_build_gambler, "build and save a gambler",
+                "--h", "--symbol")
+    p.add_argument("--kind", choices=tuple(_KINDS))
 
-    p = sub.add_parser("simulate", help="run a gambler over a sequence file")
+    p = command("combine", _cmd_combine, "average two gamblers into one")
+    for flag in ("--g1", "--g2", "--epsilon"):
+        p.add_argument(flag)
+
+    p = command("simulate", _cmd_simulate, "run a gambler over a sequence file",
+                "--n")
     p.add_argument("--gambler")
     p.add_argument("--seq")
-    p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=("log2", "exact"))
     p.add_argument("--sgale", action="append")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", help="structural and cross checks")
+    p = command("verify", _cmd_verify, "structural and cross checks",
+                "--depth", "--n-max", "--h", "--seed", "--n",
+                parents=(configured,))
     p.add_argument("--check", choices=("spec", "martingale", "speeds", "parity"))
     p.add_argument("--gambler")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--variant", choices=("F", "Fprime", "Fdoubleprime"))
-    p.add_argument("--h", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--variant", choices=_FAMILIES)
 
-    p = sub.add_parser("sweep", help="sample random gamblers against a sequence")
-    p.add_argument("--h", type=int)
-    p.add_argument("--n", type=int)
+    p = command("sweep", _cmd_sweep, "sample random gamblers against a sequence",
+                "--h", "--n", "--seq-seed", "--samples", "--max-t", "--max-q",
+                "--bet-denom", "--rng-seed")
     p.add_argument("--seq")
-    p.add_argument("--seq-seed", dest="seq_seed", type=int)
-    p.add_argument("--seq-variant", dest="seq_variant",
-                   choices=("F", "Fprime", "Fdoubleprime"))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-t", dest="max_t", type=int)
-    p.add_argument("--max-q", dest="max_q", type=int)
-    p.add_argument("--bet-denom", dest="bet_denom", type=int)
-    p.add_argument("--rng-seed", dest="rng_seed", type=int)
+    p.add_argument("--seq-variant", choices=_FAMILIES)
     p.add_argument("--include", action="append")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("instability", help="variant winners across both variants")
-    p.add_argument("--h", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
+    p = command("instability", _cmd_instability,
+                "variant winners across both variants", "--h", "--seed", "--n")
     p.add_argument("--epsilon")
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_instability)
 
-    p = sub.add_parser("estimate-dim", help="witness-based dimension upper bound")
+    p = command("estimate-dim", _cmd_estimate_dim,
+                "witness-based dimension upper bound", "--n")
     p.add_argument("--seq")
     p.add_argument("--gambler", action="append")
-    p.add_argument("--n", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=_cmd_estimate_dim)
 
-    p = sub.add_parser("report", help="summarize a JSON-lines report")
+    p = command("report", _cmd_report, "summarize a JSON-lines report",
+                parents=())
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_report)
-
     return parser
 
 
@@ -538,24 +435,15 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        return args.func(_Options(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except _ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _IOError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except sequences.SourceExhausted as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, sequences.SourceExhausted) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -100,17 +100,19 @@ def test_build_and_verify_round_trip(tmp_path):
     assert run("verify", "--check", "spec", "--gambler", str(g)) == 0
 
 
-def test_verify_rejects_invalid_gambler_file(tmp_path):
+def test_verify_rejects_invalid_gambler_file(tmp_path, capsys):
     g = tmp_path / "bad.json"
     doc = gambler_to_json(__import__("galelab").build_parity_gambler(1))
     doc["betting_states"][0]["bets"] = ["1/2", "1/4"]
     g.write_text(json.dumps(doc))
     assert run("verify", "--check", "spec", "--gambler", str(g)) == 1
+    out = capsys.readouterr().out
+    assert "violation betting[n0]: bet weights sum to 3/4, expected 1" in out
 
 
 def test_verify_martingale_rejects_overbetting_gambler_file(tmp_path, capsys):
-    # the file loads, but gambler files are validated before any check
-    # runs, so the row summing to 3/2 fails validation first
+    # the file loads, but the martingale check validates its gambler
+    # first, so the row summing to 3/2 fails validation before the check
     g = tmp_path / "over.json"
     g.write_text(json.dumps(gambler_to_json(overbetting_gambler())))
     assert load_gambler(g).betting["q0"].bets.total() == Fraction(3, 2)
@@ -119,6 +121,16 @@ def test_verify_martingale_rejects_overbetting_gambler_file(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "validation failure: invalid gambler" in err
     assert "fair-betting identity holds" not in out
+
+
+def test_verify_martingale_reports_a_violated_identity(monkeypatch, capsys):
+    # validation rules out every gambler the brute-force check would
+    # reject, so the branch is reached only if the two ever disagree
+    monkeypatch.setattr(cli.engine, "check_martingale_property",
+                        lambda spec, depth: False)
+    assert run("verify", "--check", "martingale", "--gambler", "uniform",
+               "--depth", "3") == cli.EXIT_VALIDATION
+    assert "fair-betting identity violated below depth 3" in capsys.readouterr().out
 
 
 def test_verify_parity_structure_command():
