@@ -400,8 +400,8 @@ def instability_experiment(h: int, seed: int, n: int,
     if h < 2:
         raise ValueError("instability needs h >= 2 (two distinct variants)")
     eps = Fraction(eps)
-    seq_x = f_family(h, "Fprime", prng_source(seed))
-    seq_z = f_family(h, "Fdoubleprime", prng_source(seed))
+    inner = prng_source(seed)
+    seq_x, seq_z = f_family(h, "Fprime", inner), f_family(h, "Fdoubleprime", inner)
     g_x = build_variant_gambler(h, "Fprime")
     g_z = build_variant_gambler(h, "Fdoubleprime")
     combined = average_gamblers(g_x, g_z, eps)

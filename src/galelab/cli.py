@@ -72,6 +72,14 @@ class _Options:
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
 
+    def integer(self, name: str, default=_REQUIRED) -> int:
+        value = self(name, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError) as exc:
+            raise _UsageError(
+                f"bad integer for --{name.replace('_', '-')}: {value!r}") from exc
+
     def out(self):
         """The ``--out`` path, checked before any computation starts."""
         path = self("out")
@@ -101,11 +109,17 @@ def _verdict(ok: bool, passed: str, failed: str) -> int:
 # artifact loading
 # ---------------------------------------------------------------------------
 
-def _load_sequence(path) -> sequences.FileSource:
+def _load_sequence(opt: _Options) -> tuple[sequences.FileSource, int]:
+    """The ``--seq`` file and ``--n`` (by default the file's length),
+    refused before any work when the file is shorter."""
     try:
-        return sequences.read_sequence(path)
+        src = sequences.read_sequence(opt("seq"))
     except ValueError as exc:  # a malformed file is an i/o error
         raise OSError(str(exc)) from exc
+    n = opt.integer("n", src.length)
+    if n > src.length:
+        raise ValueError(f"sequence {src.path} holds {src.length} symbols, not {n}")
+    return src, n
 
 
 # Gambler kinds, shared by ``build-gambler --kind`` and the shorthands;
@@ -168,10 +182,10 @@ def _write_gambler(spec: core.GamblerSpec, out, config: dict) -> int:
 
 def _cmd_gen_seq(opt: _Options) -> int:
     variant = opt("variant", "F")
-    seed, n = int(opt("seed")), int(opt("n"))
+    seed, n = opt.integer("seed"), opt.integer("n")
     out = opt.out()
     src = sequences.prng_source(seed)
-    h = None if variant == "raw" else int(opt("h"))
+    h = None if variant == "raw" else opt.integer("h")
     if h is not None:
         src = sequences.f_family(h, variant, src)
     _echo({"command": "gen-seq", "variant": variant, "h": h,
@@ -187,9 +201,9 @@ def _cmd_build_gambler(opt: _Options) -> int:
     config = {"command": "build-gambler", "kind": kind, "out": str(out)}
     params = {}
     if kind == "allin":
-        params["sym"] = config["symbol"] = int(opt("symbol", 0))
+        params["sym"] = config["symbol"] = opt.integer("symbol", 0)
     elif kind != "uniform":
-        params["h"] = config["h"] = int(opt("h"))
+        params["h"] = config["h"] = opt.integer("h")
     spec = _build(kind, params)
     _valid(spec, f"built gambler {spec.label()} failed validation")
     return _write_gambler(spec, out, config)
@@ -213,11 +227,7 @@ def _cmd_simulate(opt: _Options) -> int:
     out = opt.out()
     sgales = opt("sgale", []) or []
     spec = _gambler(gambler_ref)
-    src = _load_sequence(seq_path)
-    n = int(opt("n", src.length))
-    if n > src.length:
-        raise ValueError(
-            f"sequence {seq_path} holds {src.length} symbols, cannot simulate {n}")
+    src, n = _load_sequence(opt)
     s_values = [(str(s), _fraction(s, "--sgale")) for s in sgales]
     config = {"command": "simulate", "gambler": gambler_ref,
               "seq": str(seq_path), "n": n, "mode": mode,
@@ -237,9 +247,9 @@ def _cmd_verify(opt: _Options) -> int:
     config = {"command": "verify", "check": check}
 
     if check == "parity":
-        h = int(opt("h"))
+        h = opt.integer("h")
         variant = opt("variant", "F")
-        n, seed = int(opt("n", 10_000)), int(opt("seed", 1))
+        n, seed = opt.integer("n", 10_000), opt.integer("seed", 1)
         src = sequences.f_family(h, variant, sequences.prng_source(seed))
         config.update({"h": h, "variant": variant, "n": n, "seed": seed})
         _echo(config)
@@ -263,12 +273,12 @@ def _cmd_verify(opt: _Options) -> int:
     # check raise instead of answering
     spec = _gambler(gambler_ref)
     if check == "martingale":
-        depth = config["depth"] = int(opt("depth", 10))
+        depth = config["depth"] = opt.integer("depth", 10)
         _echo(config)
         return _verdict(engine.check_martingale_property(spec, depth),
                         f"fair-betting identity holds to depth {depth}",
                         f"fair-betting identity violated below depth {depth}")
-    n_max = config["n_max"] = int(opt("n_max", 100_000))
+    n_max = config["n_max"] = opt.integer("n_max", 100_000)
     _echo(config)
     return _verdict(engine.check_speed_bounds(spec, n_max),
                     f"head positions stay within the bound for all n <= {n_max}",
@@ -276,21 +286,19 @@ def _cmd_verify(opt: _Options) -> int:
 
 
 def _cmd_sweep(opt: _Options) -> int:
-    h, n = int(opt("h")), int(opt("n"))
+    h, n = opt.integer("h"), opt.integer("n")
     out = opt.out()
-    seq_path = opt("seq", None)
-    if seq_path:
-        src = _load_sequence(seq_path)
+    if opt("seq", None):
+        src, n = _load_sequence(opt)
     else:
-        seq_seed = int(opt("seq_seed", 1))
         src = sequences.f_family(h, opt("seq_variant", "F"),
-                                 sequences.prng_source(seq_seed))
+                                 sequences.prng_source(opt.integer("seq_seed", 1)))
     budget = analysis.SweepBudget(
-        max_t=int(opt("max_t", 4)),
-        max_q=int(opt("max_q", 6)),
-        bet_denominator_max=int(opt("bet_denom", 8)),
-        samples=int(opt("samples", 500)),
-        seed=int(opt("rng_seed", 0)),
+        max_t=opt.integer("max_t", 4),
+        max_q=opt.integer("max_q", 6),
+        bet_denominator_max=opt.integer("bet_denom", 8),
+        samples=opt.integer("samples", 500),
+        seed=opt.integer("rng_seed", 0),
     )
     include_refs = opt("include", []) or []
     include = [_gambler(str(ref)) for ref in include_refs]
@@ -306,7 +314,7 @@ def _cmd_sweep(opt: _Options) -> int:
 
 
 def _cmd_instability(opt: _Options) -> int:
-    h, seed, n = int(opt("h")), int(opt("seed")), int(opt("n"))
+    h, seed, n = opt.integer("h"), opt.integer("seed"), opt.integer("n")
     eps = _fraction(opt("epsilon", "1/10"), "--epsilon")
     out = opt.out()
     _echo({"command": "instability", "h": h, "seed": seed, "n": n,
@@ -328,8 +336,7 @@ def _cmd_estimate_dim(opt: _Options) -> int:
     if not gambler_refs:
         raise _UsageError("estimate-dim needs at least one --gambler")
     out = opt.out()
-    src = _load_sequence(seq_path)
-    n = int(opt("n", src.length))
+    src, n = _load_sequence(opt)
     gamblers = [_gambler(str(ref)) for ref in gambler_refs]
     _echo({"command": "estimate-dim", "seq": str(seq_path), "n": n,
            "gambler": [str(r) for r in gambler_refs], "out": str(out)})
@@ -346,6 +353,8 @@ def _cmd_report(opt: _Options) -> int:
             lines = [json.loads(line) for line in fh if line.strip()]
         except json.JSONDecodeError as exc:
             raise OSError(f"malformed report {path}: {exc}") from exc
+    if not all(isinstance(obj, dict) for obj in lines):
+        raise OSError(f"malformed report {path}: a line is not a JSON object")
     runs = [obj for obj in lines if obj.get("type") == "run"]
     for obj in lines:
         if obj.get("type") == "config":

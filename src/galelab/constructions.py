@@ -43,6 +43,7 @@ from .core import (
     geq_pow2_scaled,
     log2_fraction,
 )
+from .engine import compile_gambler, walk
 from .sequences import (
     SequenceSource,
     max_supported_h,
@@ -421,8 +422,6 @@ def averaging_audit(
     snapped ratio and the two realized weights, which take finitely many
     values, so it is computed once per distinct step of the audit.
     """
-    from .engine import compile_gambler, walk  # avoid a cycle
-
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)

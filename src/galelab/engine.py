@@ -123,10 +123,7 @@ class RunTrace:
     ``TRACE_CAP`` keep every ``recorded_every``-th step plus the last.
     """
 
-    gambler: str
-    source: str
     k: int
-    n: int
     final_capital: Capital
     recorded_every: int
     compiled: CompiledGambler
@@ -420,11 +417,11 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         np.cumsum(caps, axis=0, out=caps)
         carry = caps[-1].copy()
         if m1 > window:
-            ratios = caps[max(window - m0, 0):]
-            ratios /= (np.arange(max(window, m0) + 1, m1 + 1, dtype=np.float64)
-                       * math.log2(k))[:, None]
-            np.maximum(hi, ratios.max(0), out=hi)
-            np.minimum(lo, ratios.min(0), out=lo)
+            lengths = np.arange(max(window, m0) + 1, m1 + 1, dtype=np.float64)
+            top, bottom = _window_extremes(caps[max(window - m0, 0):],
+                                           lengths[:, None], k)
+            np.maximum(hi, top, out=hi)
+            np.minimum(lo, bottom, out=lo)
         alive = q != bankrupt
         if not alive.all():  # a bankrupt run's last capital, so its liminf, is -inf
             limsup[live[~alive]] = hi[~alive]
@@ -476,8 +473,7 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
         caps += [Fraction(0)] * (n + 1 - len(caps))
         exact = [caps[m + 1] for m in steps.tolist()]
         final = Capital(log2_fraction(caps[-1]), caps[-1])
-    return RunTrace(gambler=spec.label(), source=source.describe(), k=g.k, n=n,
-                    final_capital=final, recorded_every=every, compiled=g,
+    return RunTrace(k=g.k, final_capital=final, recorded_every=every, compiled=g,
                     steps=steps, rows=rows, exact=exact)
 
 
@@ -501,6 +497,13 @@ def _window_start(n: int) -> int:
     return n - max(1, int(n * WINDOW_FRAC))
 
 
+def _window_extremes(log2_caps: np.ndarray, lengths: np.ndarray, k: int):
+    """Max and min over axis 0 of log_k(capital)/n; divides ``log2_caps`` in place."""
+    with np.errstate(invalid="ignore"):
+        log2_caps /= lengths * math.log2(k)
+    return log2_caps.max(0), log2_caps.min(0)
+
+
 def window_exponents(log2_caps: np.ndarray, k: int,
                      prefix_lengths: np.ndarray | None = None) -> ExponentEstimate:
     """Max/min of ``log_k(capital)/n`` over the trailing window.
@@ -516,10 +519,9 @@ def window_exponents(log2_caps: np.ndarray, k: int,
     if prefix_lengths is None:
         prefix_lengths = np.arange(1, m + 1, dtype=np.float64)
     start = _window_start(m)
-    denom = prefix_lengths[start:] * math.log2(k)
-    with np.errstate(invalid="ignore"):
-        ratios = log2_caps[start:] / denom
-    return ExponentEstimate(float(np.max(ratios)), float(np.min(ratios)))
+    top, bottom = _window_extremes(log2_caps[start:].astype(np.float64),
+                                   prefix_lengths[start:], k)
+    return ExponentEstimate(float(top), float(bottom))
 
 
 def success_exponent(trace: RunTrace) -> ExponentEstimate:

@@ -183,7 +183,8 @@ class PrngSource(SequenceSource):
     """Seeded, reproducible bit stream (counter-mode SHA-256).
 
     Deterministic in the 64-bit seed and cryptographically well mixed; a
-    desk-scale stand-in for an algorithmically random sequence.
+    desk-scale stand-in for an algorithmically random sequence.  Fills
+    whole ``BLOCK_BITS`` digests, joined and unpacked LSB first at once.
     """
 
     BLOCK_BITS = 256
@@ -192,21 +193,16 @@ class PrngSource(SequenceSource):
         super().__init__()
         self.seed = int(seed)
         self._prefix = b"galelab-prng" + self.seed.to_bytes(8, "little", signed=True)
-        self._blocks = 0
 
     def _fill(self, upto: int) -> None:
-        need_blocks = -(-upto // self.BLOCK_BITS)
-        if need_blocks <= self._blocks:
-            return
-        self._grow(need_blocks * self.BLOCK_BITS)
-        for b in range(self._blocks, need_blocks):
-            digest = hashlib.sha256(
-                self._prefix + b.to_bytes(8, "little")).digest()
-            bits = np.unpackbits(np.frombuffer(digest, dtype=np.uint8),
-                                 bitorder="little")
-            self._buf[b * self.BLOCK_BITS:(b + 1) * self.BLOCK_BITS] = bits
-        self._blocks = need_blocks
-        self._len = need_blocks * self.BLOCK_BITS
+        end = -(-upto // self.BLOCK_BITS) * self.BLOCK_BITS
+        self._grow(end)
+        digests = b"".join(
+            hashlib.sha256(self._prefix + b.to_bytes(8, "little")).digest()
+            for b in range(self._len // self.BLOCK_BITS, end // self.BLOCK_BITS))
+        self._buf[self._len:end] = np.unpackbits(
+            np.frombuffer(digests, dtype=np.uint8), bitorder="little")
+        self._len = end
 
     def describe(self) -> str:
         return f"prng(seed={self.seed})"
@@ -255,10 +251,10 @@ class FileSource(SequenceSource):
 class DerivedSource(SequenceSource):
     """A parity-derived family applied to an inner binary source.
 
-    Streams forward: copies are gathered from the inner source in bulk,
-    and each block-boundary symbol is the parity of already-emitted
-    symbols, so every prefix is generated in amortized constant time per
-    symbol.
+    Streams forward with whole-array slices: the copies are one strided
+    assignment from the inner source per residue, and the block-boundary
+    symbols are XORs of strided views of the already-emitted prefix, a
+    geometrically growing chunk of boundaries at a time.
     """
 
     def __init__(self, variant: str, h: int, inner: SequenceSource):
@@ -282,36 +278,29 @@ class DerivedSource(SequenceSource):
 
     def _fill(self, upto: int) -> None:
         old, p = self._len, self.block_prime
-        if upto <= old:
-            return
         self._grow(upto)
         buf = self._buf
+        blocks = (upto - 1) // p + 1
+        inner = self.inner.prefix_array(blocks * (p - 1) + 1)
         # verbatim copies: index q*p + r (r > 0) <- inner[q*(p-1) + r]
-        max_q = (upto - 1) // p
-        inner_need = max_q * (p - 1) + (p - 1) + 1
-        inner_arr = self.inner.prefix_array(inner_need)
         for r in range(1, p):
-            first_q = max(0, -(-(old - r) // p))    # smallest q with q*p + r >= old
-            if first_q > max_q:
-                continue
-            out_idx = np.arange(first_q, max_q + 1, dtype=np.int64) * p + r
-            out_idx = out_idx[out_idx < upto]
-            if out_idx.size:
-                qs = out_idx // p
-                buf[out_idx] = inner_arr[qs * (p - 1) + r]
-        # boundary parities, in increasing index order (references are past)
-        first_q = -(-old // p)
-        for q in range(first_q, max_q + 1):
-            m = q * p
-            if m >= upto:
-                break
-            if q == 0:
-                buf[0] = inner_arr[0]
-                continue
-            v = 0
+            q0 = max(0, -(-(old - r) // p))    # smallest q with q*p + r >= old
+            out = buf[q0 * p + r:upto:p]
+            out[:] = inner[q0 * (p - 1) + r::p - 1][:len(out)]
+        if old == 0:
+            buf[0] = inner[0]
+        # boundary parities over blocks [a, b) with b <= a*p / max p_k: a
+        # reference q*p_k that is a boundary lies in block q*p_k/p < a, so a
+        # chunk reads only filled symbols, and O(log n) chunks cover the prefix
+        pmax = max(self.parity_primes, default=1)
+        a = max(1, -(-old // p))
+        while a < blocks:
+            b = min(blocks, max(a + 1, a * p // pmax))
+            out = buf[a * p:b * p:p]
+            out[:] = 0
             for pk in self.parity_primes:
-                v ^= int(buf[q * pk])
-            buf[m] = v
+                out ^= buf[a * pk:b * pk:pk]
+            a = b
         self._len = upto
 
     def describe(self) -> str:

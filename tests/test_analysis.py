@@ -163,3 +163,18 @@ def test_instability_jsonl_round_trip(tmp_path):
     assert lines[0]["type"] == "config"
     assert lines[-1]["type"] == "summary"
     assert len([obj for obj in lines if obj["type"] == "run"]) == 6
+
+
+def test_instability_reads_one_inner_stream(monkeypatch):
+    from galelab import analysis
+
+    made = []
+
+    def counted(seed):
+        made.append(prng_source(seed))
+        return made[-1]
+
+    monkeypatch.setattr(analysis, "prng_source", counted)
+    report = instability_experiment(2, seed=4, n=2000, eps=Fraction(1, 10))
+    assert len(made) == 1
+    assert report.matrix["fprime"]["X"] == pytest.approx(0.2, abs=0.02)

@@ -332,3 +332,38 @@ def test_csv_embeds_config_line(tmp_path):
     embedded = json.loads(first[2:])
     assert embedded["command"] == "simulate"
     assert embedded["n"] == 200
+
+
+def test_report_on_a_non_object_line_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "r.jsonl"
+    bad.write_text('{"type": "config"}\n[1]\n')
+    assert run("report", "--in", str(bad)) == cli.EXIT_IO
+    assert capsys.readouterr().err.startswith(f"i/o error: malformed report {bad}")
+
+
+@pytest.mark.parametrize("entry, flag", [({"h": "x"}, "--h"), ({"n": [3]}, "--n")])
+def test_wrong_typed_config_integer_is_a_usage_error(tmp_path, capsys, entry, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 2, "seed": 1, "n": 400, **entry}))
+    assert run("instability", "--config", str(cfg),
+               "--out", str(tmp_path / "i.jsonl")) == cli.EXIT_USAGE
+    assert f"bad integer for {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--gambler", "parity:h=2"),
+    ("estimate-dim", "--gambler", "parity:h=2"),
+    ("sweep", "--h", "2", "--samples", "2"),
+])
+def test_n_beyond_the_sequence_file_is_refused_before_any_work(tmp_path, capsys, argv):
+    seq, out = tmp_path / "y.seq", tmp_path / "out"
+    run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
+        "--n", "100", "--out", str(seq))
+    capsys.readouterr()
+    assert run(*argv, "--seq", str(seq), "--n", "500",
+               "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"validation failure: sequence {seq} "
+                            "holds 100 symbols, not 500\n")
+    assert not out.exists()

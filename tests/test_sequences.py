@@ -1,15 +1,19 @@
 """Primes, derived sequence families, the expansion oracle, and file I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galelab.sequences import (
+    DerivedSource,
     SourceExhausted,
     constant_source,
     expand_index,
     f_family,
+    max_supported_h,
     nth_prime,
     prng_source,
     read_sequence,
@@ -106,6 +110,117 @@ def test_copy_rule_density_and_injectivity():
     for start in range(0, 1995):
         copies = sum(1 for i in range(start, start + p) if i % p != 0)
         assert copies == p - 1
+
+
+def reference_fill(self, upto: int) -> None:
+    """The derived fill with one index array per residue and one boundary
+    at a time, kept as the reference for the strided fill."""
+    old, p = self._len, self.block_prime
+    if upto <= old:
+        return
+    self._grow(upto)
+    buf = self._buf
+    # verbatim copies: index q*p + r (r > 0) <- inner[q*(p-1) + r]
+    max_q = (upto - 1) // p
+    inner_need = max_q * (p - 1) + (p - 1) + 1
+    inner_arr = self.inner.prefix_array(inner_need)
+    for r in range(1, p):
+        first_q = max(0, -(-(old - r) // p))    # smallest q with q*p + r >= old
+        if first_q > max_q:
+            continue
+        out_idx = np.arange(first_q, max_q + 1, dtype=np.int64) * p + r
+        out_idx = out_idx[out_idx < upto]
+        if out_idx.size:
+            qs = out_idx // p
+            buf[out_idx] = inner_arr[qs * (p - 1) + r]
+    # boundary parities, in increasing index order (references are past)
+    first_q = -(-old // p)
+    for q in range(first_q, max_q + 1):
+        m = q * p
+        if m >= upto:
+            break
+        if q == 0:
+            buf[0] = inner_arr[0]
+            continue
+        v = 0
+        for pk in self.parity_primes:
+            v ^= int(buf[q * pk])
+        buf[m] = v
+    self._len = upto
+
+
+class ReferenceSource(DerivedSource):
+    _fill = reference_fill
+
+
+def fill_schedules(p: int, rng) -> list[list[int]]:
+    """Prefix lengths on and around block edges, each filled in one step
+    and in several steps, some of which end mid-block."""
+    ends = [1, 2, p - 1, p, p + 1, 2 * p, p * p - 1, p * p, p * p + 1,
+            p ** 3 + p // 2, 4099, 20_000]
+    out = [[n] for n in ends]
+    for n in ends[-4:]:
+        edges = [p * q + d for q in rng.integers(1, n // p, size=3).tolist()
+                 for d in (0, 1, p // 2)]
+        out.append(sorted({e for e in edges if e < n} | {n}))
+        out.append(list(range(1, n + 1, max(1, n // 5))) + [n])
+    return out
+
+
+VARIANT_CASES = [(h, v) for h in range(1, max_supported_h() + 1)
+                 for v in ("F", "Fprime", "Fdoubleprime")
+                 if not (v == "Fdoubleprime" and h < 2)]
+
+
+@pytest.mark.parametrize("h, variant", VARIANT_CASES)
+def test_fill_matches_reference_fill(h, variant):
+    rng = np.random.default_rng(h)
+    for schedule in fill_schedules(nth_prime(h + 1), rng):
+        inner = prng_source(h)
+        src, ref = DerivedSource(variant, h, inner), ReferenceSource(variant, h, inner)
+        for n in schedule:
+            got, want = src.prefix_array(n), ref.prefix_array(n)
+            assert src._len == ref._len == n
+            assert np.array_equal(got, want), (schedule, n)
+
+
+@pytest.mark.parametrize("h, variant", [(1, "F"), (1, "Fprime"), (2, "F"),
+                                        (4, "Fdoubleprime")])
+def test_short_inner_file_exhausts_at_the_reference_request(tmp_seq, h, variant):
+    write_sequence(prng_source(3), 100, tmp_seq)
+
+    def outcome(cls, steps):
+        src = cls(variant, h, read_sequence(tmp_seq))
+        try:
+            for n in steps:
+                src.prefix_array(n)
+        except SourceExhausted as exc:
+            return ("exhausted", n, exc.index)
+        return ("filled", bytes(src.prefix_array(steps[-1])))
+
+    seen = set()
+    for n in range(1, 260):
+        for steps in ([n], [n // 2 + 1, n]):
+            got = outcome(DerivedSource, steps)
+            assert got == outcome(ReferenceSource, steps), steps
+            seen.add(got[0])
+    assert seen == {"filled", "exhausted"}
+
+
+@pytest.mark.parametrize("h", [2, 4])
+def test_fill_memory_stays_near_the_buffer(h):
+    """Filling 2e5 symbols allocates little beyond the 0.2 MB symbol buffer
+    (the per-residue index arrays of the old fill peaked at 1.15 MB)."""
+    n = 200_000
+    src = f_family(h, "F", prng_source(1))
+    src.inner.prefix_array(n)
+    tracemalloc.start()
+    try:
+        src.prefix_array(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4e6
 
 
 # ---------------------------------------------------------------------------
