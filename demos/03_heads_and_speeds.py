@@ -21,13 +21,13 @@ print(f"{spec.label()}: {spec.head_count} heads, "
 print(f"trailing speeds: {[str(s) for s in profile.speeds]}")
 
 print("\nhead positions over the first three blocks:")
-for n in range(0, 16):
-    print(f"  step {n:2d}: trailing at {positions(spec, n)}")
+for n, pos in enumerate(positions(spec, range(16))):
+    print(f"  step {n:2d}: trailing at {pos}")
 
 print("\nwithin-bound check for all n <= 100000:",
       check_speed_bounds(spec, 100_000))
 
-for n in (10, 1_000, 100_000):
-    pos = positions(spec, n)
+horizons = (10, 1_000, 100_000)
+for n, pos in zip(horizons, positions(spec, horizons)):
     drift = [float(p - s * n) for p, s in zip(pos, profile.speeds)]
     print(f"  n={n:>6}: positions {pos}, deviation from speed line {drift}")

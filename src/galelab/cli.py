@@ -73,12 +73,17 @@ class _Options:
         return value
 
     def integer(self, name: str, default=_REQUIRED) -> int:
+        """An integer option: an int, an integral float (a JSON ``1e5``) or
+        a decimal string; a boolean or a fractional float is refused."""
         value = self(name, default)
-        try:
+        if isinstance(value, float) and value.is_integer():
             return int(value)
-        except (TypeError, ValueError) as exc:
-            raise _UsageError(
-                f"bad integer for --{name.replace('_', '-')}: {value!r}") from exc
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise _UsageError(f"bad integer for --{name.replace('_', '-')}: {value!r}")
 
     def out(self):
         """The ``--out`` path, checked before any computation starts."""

@@ -26,11 +26,10 @@ import csv
 import json
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from operator import mul
+from itertools import chain, islice
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -65,13 +64,18 @@ __all__ = [
     "check_speed_bounds",
     "write_trajectory_csv",
     "TRACE_CAP",
+    "CSV_ROWS",
     "CHUNK",
     "WINDOW_FRAC",
 ]
 
 # full per-step traces up to this many steps; beyond it, capital is
-# recorded on a subsampled grid (memory guard)
+# recorded on a subsampled grid (memory guard), and exact mode refuses
 TRACE_CAP = 1_000_000
+
+# rows per block of a trajectory CSV: a block's columns are formatted
+# together, so the writer's memory stays flat in the trace length
+CSV_ROWS = 4096
 
 # the trailing share of a run whose growth exponents estimate its
 # limsup and liminf
@@ -118,9 +122,11 @@ class RunTrace:
 
     Row ``i`` is step ``steps[i]``; ``rows`` holds its betting-state index
     (``-1`` once bankrupt), realized symbol and log2 capital *after* its
-    bet, which exact mode also keeps as ``exact`` rationals.  The last
-    row is the martingale value of the whole prefix.  Runs longer than
-    ``TRACE_CAP`` keep every ``recorded_every``-th step plus the last.
+    bet, and the (betting state, symbol) visit counts of the whole run.
+    The last row is the martingale value of the whole prefix.  Runs
+    longer than ``TRACE_CAP`` keep every ``recorded_every``-th step plus
+    the last; otherwise ``rows`` is the walk itself.  ``mode`` is the
+    capital mode of the run (``"log2"`` or ``"exact"``).
     """
 
     k: int
@@ -129,18 +135,45 @@ class RunTrace:
     compiled: CompiledGambler
     steps: np.ndarray
     rows: Walk
-    exact: list[Fraction] | None
+    mode: str
+
+    def exact_capitals(self) -> Iterator[Fraction]:
+        """Exact capital after each recorded step of an exact-mode run.
+
+        A fresh generator on each call: it multiplies the capital by
+        ``k * w`` along the walk and yields it at every step, so one
+        capital is live at a time.  Exact runs are never subsampled.
+        """
+        if self.mode != "exact":
+            raise ValueError("trace is in log2 mode; exact capitals unavailable")
+        g = self.compiled
+        kw = [[g.k * w for w in bets.weights] for bets in g.bets]
+        cap = g.initial
+        for q, s in zip(memoryview(self.rows.states), memoryview(self.rows.symbols)):
+            if cap:  # q is -1 only after the capital reached 0
+                cap *= kw[q][s]
+            yield cap
+
+    def _log2_blocks(self) -> Iterator[np.ndarray]:
+        """The log2 capitals of the recorded steps, ``CSV_ROWS`` at a time."""
+        if self.mode == "log2":
+            log2 = self.rows.log2
+            yield from (log2[i:i + CSV_ROWS] for i in range(0, len(log2), CSV_ROWS))
+            return
+        caps = map(log2_fraction, self.exact_capitals())
+        for _ in range(0, len(self.steps), CSV_ROWS):
+            yield np.fromiter(islice(caps, CSV_ROWS), np.float64)
 
     def log2_capitals(self) -> np.ndarray:
-        if self.exact is None:
+        if self.mode == "log2":
             return self.rows.log2
-        return np.array([log2_fraction(c) for c in self.exact], dtype=np.float64)
+        return np.fromiter(map(log2_fraction, self.exact_capitals()), np.float64,
+                           count=len(self.steps))
 
     def all_in_win_count(self) -> int:
         """Number of steps whose full-capital bet was on the realized symbol."""
         all_in = np.array([[w == 1 for w in b.weights] for b in self.compiled.bets])
-        live = self.rows.states >= 0
-        return int(all_in[self.rows.states[live], self.rows.symbols[live]].sum())
+        return int(self.rows.counts[all_in].sum())
 
 
 @dataclass(frozen=True)
@@ -285,11 +318,13 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
 class Walk(NamedTuple):
     """Per-step betting states (up to a bankrupting step), and per-step
     leading symbols and log2 capitals (after the step, ``-inf`` once
-    bankrupt)."""
+    bankrupt); ``counts[q, s]`` is the number of steps that bet from
+    state ``q`` on realized symbol ``s``."""
 
     states: np.ndarray
     symbols: np.ndarray
     log2: np.ndarray
+    counts: np.ndarray
 
 
 def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
@@ -298,7 +333,9 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     The scanned codes are read off the orbit table ``GATHER`` steps at a
     time; only the betting-state recurrence ``q = next_state[q][code]``
     runs step by step.  The log2 capitals are one sequential cumulative
-    sum, so each is the float a step-by-step running sum gives.
+    sum, so each is the float a step-by-step running sum gives.  The
+    visit counts are one ``bincount`` per block of the flat indices
+    ``q * k + s`` that gather the log2 terms.
     """
     codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
         memoryview(g.orbit.codes(buf, i, min(i + GATHER, n)).ravel())
@@ -314,14 +351,17 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     symbols = buf[:n]
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
     terms = np.empty(len(states))
+    counts = np.zeros(len(flat), dtype=np.int64)
     for i in range(0, len(states), GATHER):
         j = min(i + GATHER, len(states))
-        terms[i:j] = flat[states[i:j] * g.k + symbols[i:j]]
+        index = states[i:j] * g.k + symbols[i:j]
+        terms[i:j] = flat[index]
+        counts += np.bincount(index, minlength=len(flat))
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
     if len(states) < n:
         log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
-    return Walk(states, symbols, log2)
+    return Walk(states, symbols, log2, counts.reshape(g.log_rows.shape))
 
 
 def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
@@ -437,44 +477,66 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
 # positions and runs
 # ---------------------------------------------------------------------------
 
-def positions(spec: GamblerSpec, n: int) -> tuple[int, ...]:
-    """Trailing-head position vector after ``n`` steps, read off the orbit
-    table in Python integers, so it is exact for any ``n``."""
+def positions(spec: GamblerSpec, horizons: Iterable[int]) -> list[tuple[int, ...]]:
+    """Trailing-head position vectors after each of ``horizons`` steps,
+    read off one orbit table in Python integers, so exact for any horizon."""
     o = _Orbits.of(spec)
-    cyc = int(o.cyc[0])
-    cycles = max(n - int(o.pre[0]), 0) // cyc
-    base = o.sums[0, n - cycles * cyc].tolist()
-    return tuple(b + cycles * c for b, c in zip(base, o.per_cycle[0].tolist()))
+    pre, cyc = int(o.pre[0]), int(o.cyc[0])
+    sums, per_cycle = o.sums[0].tolist(), o.per_cycle[0].tolist()
+    out = []
+    for n in horizons:
+        cycles = max(n - pre, 0) // cyc
+        out.append(tuple(b + cycles * c for b, c in zip(sums[n - cycles * cyc], per_cycle)))
+    return out
+
+
+def _exact_final(g: CompiledGambler, counts: np.ndarray) -> Fraction:
+    """``initial * prod (k * w[q][s]) ** counts[q, s]`` over the visited
+    (state, symbol) pairs: the exact capital after the counted steps."""
+    num, den = g.initial.numerator, g.initial.denominator
+    for q, s in np.argwhere(counts).tolist():
+        factor, c = g.k * g.bets[q].weights[s], int(counts[q, s])
+        num *= factor.numerator ** c
+        den *= factor.denominator ** c
+    return Fraction(num, den)
 
 
 def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
                    mode: str = "log2") -> RunTrace:
-    """Simulate ``n`` steps and return the full trace.
+    """Simulate ``n`` steps and return the trace.
 
-    The final capital is the martingale value of the scanned prefix.  In
-    exact mode every capital is an exact rational (bit counts grow with
-    ``n``; intended for horizons up to about 10^4).  Log2 mode stores
-    base-2 logs and is the default for long runs; bankruptcy is the
-    absorbing ``-inf``.  An invalid gambler raises ``ValueError``.
+    The final capital is the martingale value of the scanned prefix.  Up
+    to ``TRACE_CAP`` steps the trace's rows are the walk's own arrays;
+    beyond it they are a subsampled copy.  Log2 mode stores base-2 logs
+    and is the default for long runs; bankruptcy is the absorbing
+    ``-inf``.  In exact mode the final capital is an exact rational,
+    taken as big-integer powers of the per-step factors over the
+    (state, symbol) visit counts, and the trace yields the exact capital
+    of every step from :meth:`RunTrace.exact_capitals`, one at a time.
+    Exact capitals grow to Theta(n) bits, so exact mode refuses more than
+    ``TRACE_CAP`` steps.  An invalid gambler, an unknown mode or such a
+    horizon raises ``ValueError``.
     """
     if mode not in ("exact", "log2"):
         raise ValueError(f"unknown capital mode {mode!r}")
+    if mode == "exact" and n > TRACE_CAP:
+        raise ValueError(f"exact mode runs at most {TRACE_CAP} steps, not {n}")
     g, w = _walk_source(spec, source, n)
+    if len(w.states) < n:  # bankrupt: no betting state from the next step on
+        w = w._replace(states=np.concatenate([w.states, np.full(n - len(w.states), -1)]))
     every = 1 if n <= TRACE_CAP else -(-n // TRACE_CAP)
-    steps = np.append(np.arange(0, n - 1, every), n - 1) if n else np.arange(0)
-    states = np.append(w.states, np.full(n - len(w.states), -1))
-    rows = Walk(states[steps], w.symbols[steps], w.log2[steps])
+    if every == 1:
+        steps = np.arange(n)
+    else:
+        steps = np.append(np.arange(0, n - 1, every), n - 1)
+        w = w._replace(states=w.states[steps], symbols=w.symbols[steps],
+                       log2=w.log2[steps])
     final = Capital(float(w.log2[-1]) if n else log2_fraction(g.initial))
-    exact = None
     if mode == "exact":
-        kw = [[g.k * p for p in row.weights] for row in g.bets]
-        walked = zip(w.states.tolist(), w.symbols.tolist())
-        caps = list(accumulate((kw[q][s] for q, s in walked), mul, initial=g.initial))
-        caps += [Fraction(0)] * (n + 1 - len(caps))
-        exact = [caps[m + 1] for m in steps.tolist()]
-        final = Capital(log2_fraction(caps[-1]), caps[-1])
+        exact = _exact_final(g, w.counts)
+        final = Capital(log2_fraction(exact), exact)
     return RunTrace(k=g.k, final_capital=final, recorded_every=every, compiled=g,
-                    steps=steps, rows=rows, exact=exact)
+                    steps=steps, rows=w, mode=mode)
 
 
 def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.ndarray:
@@ -681,14 +743,18 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     Bankrupt capital is the literal string ``-inf``.  The producing
     config, when given, is embedded as a leading comment line so the file
     records how to reproduce it.  The scale-``s`` columns are
-    :func:`sgale_log2` of the ``log2_capital`` column.
+    :func:`sgale_log2` of the ``log2_capital`` column.  Rows are
+    formatted ``CSV_ROWS`` at a time, and an exact-mode trace converts
+    its capitals to log2 as the blocks reach them, so the writer's
+    memory does not grow with the trace.
     """
     if config is not None:
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
-    log2 = trace.log2_capitals()
-    columns = [(trace.steps + 1).tolist(), log2.tolist()]
-    columns += [sgale_log2(log2, trace.steps + 1, s, trace.k).tolist() for _, s in s_values]
-    row = ",".join(["{!r}"] * len(columns)) + "\n"
-    out.writelines(map(row.format, *columns))
+    row = ",".join(["{!r}"] * (2 + len(s_values))) + "\n"
+    for i, log2 in zip(range(0, len(trace.steps), CSV_ROWS), trace._log2_blocks()):
+        lengths = trace.steps[i:i + CSV_ROWS] + 1
+        columns = [lengths.tolist(), log2.tolist()]
+        columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]
+        out.writelines(map(row.format, *columns))

@@ -48,7 +48,7 @@ def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
     r = rounding_resolution(eps)
     k = g1.k
     buf = source.prefix_array(n)
-    engine_capital = run_martingale(combined, source, n, mode="exact").exact
+    engine_capital = list(run_martingale(combined, source, n, mode="exact").exact_capitals())
     weights = []
     for g in (g1, g2):
         compiled = compile_gambler(g)

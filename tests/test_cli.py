@@ -350,6 +350,30 @@ def test_wrong_typed_config_integer_is_a_usage_error(tmp_path, capsys, entry, fl
     assert f"bad integer for {flag}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"h": 2.7}, "bad integer for --h: 2.7"),   # once truncated to h = 2
+    ({"h": True}, "bad integer for --h: True"),  # once read as h = 1
+])
+def test_fractional_or_boolean_config_integer_is_a_usage_error(tmp_path, capsys,
+                                                               entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 2, "seed": 1, "n": 400, **entry}))
+    assert run("instability", "--config", str(cfg),
+               "--out", str(tmp_path / "i.jsonl")) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "i.jsonl").exists()
+
+
+def test_integral_float_config_integer_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"variant": "F", "h": 2.0, "seed": 1, "n": 1e5}')
+    out = tmp_path / "y.seq"
+    assert run("gen-seq", "--config", str(cfg), "--out", str(out)) == 0
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+    assert (echoed["h"], echoed["n"]) == (2, 100_000)
+    assert read_sequence(out).length == 100_000
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--gambler", "parity:h=2"),
     ("estimate-dim", "--gambler", "parity:h=2"),

@@ -56,15 +56,15 @@ def frozen_gambler(move_bits=(0, 0)) -> GamblerSpec:
 # ---------------------------------------------------------------------------
 
 def test_positions_start_at_origin():
-    assert positions(build_parity_gambler(2), 0) == (0, 0)
+    assert positions(build_parity_gambler(2), [0]) == [(0, 0)]
 
 
 def test_positions_parity_gambler_after_one_block():
-    assert positions(build_parity_gambler(2), 5) == (2, 3)
+    assert positions(build_parity_gambler(2), [5]) == [(2, 3)]
 
 
 def test_positions_all_zero_movement():
-    assert positions(frozen_gambler((0, 0)), 12345) == (0, 0)
+    assert positions(frozen_gambler((0, 0)), [12345]) == [(0, 0)]
 
 
 def test_positions_match_step_by_step_recursion():
@@ -73,17 +73,18 @@ def test_positions_match_step_by_step_recursion():
         # preperiodic orbits, which the parity gamblers lack, are in the sample
         assert h == 1 or any(measure_speeds(s).preperiod_length for s in specs)
         for spec in specs + [build_parity_gambler(3)]:
-            pos = [0] * (spec.head_count - 1)
+            pos, expected = [0] * (spec.head_count - 1), []
             t = spec.initial_t
             for n in range(301):
-                assert positions(spec, n) == tuple(pos)
+                expected.append(tuple(pos))
                 bits = spec.positional[t].move_bits
                 pos = [p + b for p, b in zip(pos, bits)]
                 t = spec.positional[t].next_id
+            assert positions(spec, range(301)) == expected
 
 
 def test_positions_exact_beyond_int64():
-    assert positions(build_parity_gambler(2), 5 * 10**30) == (2 * 10**30, 3 * 10**30)
+    assert positions(build_parity_gambler(2), [5 * 10**30]) == [(2 * 10**30, 3 * 10**30)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +127,12 @@ def test_trace_capital_recursion_and_positions_bound():
     trace = run_martingale(spec, src, 300, mode="exact")
     cap = Fraction(1)
     rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
-               trace.rows.symbols.tolist(), trace.exact)
-    for m, q, symbol, exact in rows:
+               trace.rows.symbols.tolist(), trace.exact_capitals(),
+               positions(spec, trace.steps.tolist()))
+    for m, q, symbol, exact, pos in rows:
         cap *= 2 * trace.compiled.bets[q][symbol]
         assert exact == cap
-        assert all(p <= m for p in positions(spec, m))
+        assert all(p <= m for p in pos)
 
 
 def test_bets_cannot_depend_on_the_symbol_they_cover():
@@ -331,7 +333,7 @@ def test_preperiod_speeds_and_bounds():
     assert profile.cycle_length == 1
     assert check_speed_bounds(preperiod_gambler(), 100)
     # the deviation is exactly the preperiod length, within |T| = 4
-    assert positions(preperiod_gambler(), 50) == (47,)
+    assert positions(preperiod_gambler(), [50]) == [(47,)]
 
 
 def test_speed_bounds_parity_gambler():
@@ -364,8 +366,8 @@ def test_positions_stay_near_speed_line(seed, h):
     spec = random_valid_gambler(seed, h)
     profile = measure_speeds(spec)
     t_count = len(spec.positional)
-    for n in (0, 7, 100, 999):
-        pos = positions(spec, n)
+    horizons = (0, 7, 100, 999)
+    for n, pos in zip(horizons, positions(spec, horizons)):
         for i, s in enumerate(profile.speeds):
             assert abs(Fraction(pos[i]) - s * n) <= t_count
 
