@@ -29,7 +29,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -122,11 +122,10 @@ class RunTrace:
 
     Row ``i`` is step ``steps[i]``; ``rows`` holds its betting-state index
     (``-1`` once bankrupt), realized symbol and log2 capital *after* its
-    bet, and the (betting state, symbol) visit counts of the whole run.
-    The last row is the martingale value of the whole prefix.  Runs
+    bet.  The last row is the martingale value of the whole prefix.  Runs
     longer than ``TRACE_CAP`` keep every ``recorded_every``-th step plus
-    the last; otherwise ``rows`` is the walk itself.  ``mode`` is the
-    capital mode of the run (``"log2"`` or ``"exact"``).
+    the last; otherwise ``rows`` is the walk itself.  An exact-mode run
+    is one whose final capital holds an exact rational.
     """
 
     k: int
@@ -135,37 +134,19 @@ class RunTrace:
     compiled: CompiledGambler
     steps: np.ndarray
     rows: Walk
-    mode: str
 
     def exact_capitals(self) -> Iterator[Fraction]:
         """Exact capital after each recorded step of an exact-mode run.
 
-        A fresh generator on each call: it multiplies the capital by
-        ``k * w`` along the walk and yields it at every step, so one
-        capital is live at a time.  Exact runs are never subsampled.
+        A fresh generator on each call, keeping one capital live; exact
+        runs are never subsampled, so it yields one capital per step.
         """
-        if self.mode != "exact":
+        if self.final_capital.exact is None:
             raise ValueError("trace is in log2 mode; exact capitals unavailable")
-        g = self.compiled
-        kw = [[g.k * w for w in bets.weights] for bets in g.bets]
-        cap = g.initial
-        for q, s in zip(memoryview(self.rows.states), memoryview(self.rows.symbols)):
-            if cap:  # q is -1 only after the capital reached 0
-                cap *= kw[q][s]
-            yield cap
-
-    def _log2_blocks(self) -> Iterator[np.ndarray]:
-        """The log2 capitals of the recorded steps, ``CSV_ROWS`` at a time."""
-        if self.mode == "log2":
-            log2 = self.rows.log2
-            yield from (log2[i:i + CSV_ROWS] for i in range(0, len(log2), CSV_ROWS))
-            return
-        caps = map(log2_fraction, self.exact_capitals())
-        for _ in range(0, len(self.steps), CSV_ROWS):
-            yield np.fromiter(islice(caps, CSV_ROWS), np.float64)
+        yield from _exact_capitals(self.compiled, self.rows)
 
     def log2_capitals(self) -> np.ndarray:
-        if self.mode == "log2":
+        if self.final_capital.exact is None:
             return self.rows.log2
         return np.fromiter(map(log2_fraction, self.exact_capitals()), np.float64,
                            count=len(self.steps))
@@ -173,7 +154,8 @@ class RunTrace:
     def all_in_win_count(self) -> int:
         """Number of steps whose full-capital bet was on the realized symbol."""
         all_in = np.array([[w == 1 for w in b.weights] for b in self.compiled.bets])
-        return int(self.rows.counts[all_in].sum())
+        live = self.rows.states >= 0
+        return int(all_in[self.rows.states[live], self.rows.symbols[live]].sum())
 
 
 @dataclass(frozen=True)
@@ -318,13 +300,11 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
 class Walk(NamedTuple):
     """Per-step betting states (up to a bankrupting step), and per-step
     leading symbols and log2 capitals (after the step, ``-inf`` once
-    bankrupt); ``counts[q, s]`` is the number of steps that bet from
-    state ``q`` on realized symbol ``s``."""
+    bankrupt)."""
 
     states: np.ndarray
     symbols: np.ndarray
     log2: np.ndarray
-    counts: np.ndarray
 
 
 def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
@@ -333,9 +313,7 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     The scanned codes are read off the orbit table ``GATHER`` steps at a
     time; only the betting-state recurrence ``q = next_state[q][code]``
     runs step by step.  The log2 capitals are one sequential cumulative
-    sum, so each is the float a step-by-step running sum gives.  The
-    visit counts are one ``bincount`` per block of the flat indices
-    ``q * k + s`` that gather the log2 terms.
+    sum, so each is the float a step-by-step running sum gives.
     """
     codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
         memoryview(g.orbit.codes(buf, i, min(i + GATHER, n)).ravel())
@@ -351,17 +329,14 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     symbols = buf[:n]
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
     terms = np.empty(len(states))
-    counts = np.zeros(len(flat), dtype=np.int64)
     for i in range(0, len(states), GATHER):
         j = min(i + GATHER, len(states))
-        index = states[i:j] * g.k + symbols[i:j]
-        terms[i:j] = flat[index]
-        counts += np.bincount(index, minlength=len(flat))
+        terms[i:j] = flat[states[i:j] * g.k + symbols[i:j]]
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
     if len(states) < n:
         log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
-    return Walk(states, symbols, log2, counts.reshape(g.log_rows.shape))
+    return Walk(states, symbols, log2)
 
 
 def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
@@ -490,15 +465,15 @@ def positions(spec: GamblerSpec, horizons: Iterable[int]) -> list[tuple[int, ...
     return out
 
 
-def _exact_final(g: CompiledGambler, counts: np.ndarray) -> Fraction:
-    """``initial * prod (k * w[q][s]) ** counts[q, s]`` over the visited
-    (state, symbol) pairs: the exact capital after the counted steps."""
-    num, den = g.initial.numerator, g.initial.denominator
-    for q, s in np.argwhere(counts).tolist():
-        factor, c = g.k * g.bets[q].weights[s], int(counts[q, s])
-        num *= factor.numerator ** c
-        den *= factor.denominator ** c
-    return Fraction(num, den)
+def _exact_capitals(g: CompiledGambler, rows: Walk) -> Iterator[Fraction]:
+    """Exact capital after each step of ``rows``, multiplied by ``k * w``
+    along the walk, so one capital is live at a time."""
+    kw = [[g.k * w for w in bets.weights] for bets in g.bets]
+    cap = g.initial
+    for q, s in zip(memoryview(rows.states), memoryview(rows.symbols)):
+        if cap:  # q is -1 only after the capital reached 0
+            cap *= kw[q][s]
+        yield cap
 
 
 def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
@@ -509,11 +484,10 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
     to ``TRACE_CAP`` steps the trace's rows are the walk's own arrays;
     beyond it they are a subsampled copy.  Log2 mode stores base-2 logs
     and is the default for long runs; bankruptcy is the absorbing
-    ``-inf``.  In exact mode the final capital is an exact rational,
-    taken as big-integer powers of the per-step factors over the
-    (state, symbol) visit counts, and the trace yields the exact capital
-    of every step from :meth:`RunTrace.exact_capitals`, one at a time.
-    Exact capitals grow to Theta(n) bits, so exact mode refuses more than
+    ``-inf``.  In exact mode the final capital is an exact rational, the
+    last of the per-step capitals that :meth:`RunTrace.exact_capitals`
+    yields one at a time.  Exact capitals grow to Theta(n) bits, so their
+    time is quadratic in ``n`` and exact mode refuses more than
     ``TRACE_CAP`` steps.  An invalid gambler, an unknown mode or such a
     horizon raises ``ValueError``.
     """
@@ -533,10 +507,12 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
                        log2=w.log2[steps])
     final = Capital(float(w.log2[-1]) if n else log2_fraction(g.initial))
     if mode == "exact":
-        exact = _exact_final(g, w.counts)
+        exact = g.initial
+        for exact in _exact_capitals(g, w):
+            pass
         final = Capital(log2_fraction(exact), exact)
     return RunTrace(k=g.k, final_capital=final, recorded_every=every, compiled=g,
-                    steps=steps, rows=w, mode=mode)
+                    steps=steps, rows=w)
 
 
 def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.ndarray:
@@ -744,17 +720,17 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     config, when given, is embedded as a leading comment line so the file
     records how to reproduce it.  The scale-``s`` columns are
     :func:`sgale_log2` of the ``log2_capital`` column.  Rows are
-    formatted ``CSV_ROWS`` at a time, and an exact-mode trace converts
-    its capitals to log2 as the blocks reach them, so the writer's
-    memory does not grow with the trace.
+    formatted ``CSV_ROWS`` at a time, so beyond the trace's log2 column
+    the writer's memory does not grow with the trace.
     """
     if config is not None:
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
     row = ",".join(["{!r}"] * (2 + len(s_values))) + "\n"
-    for i, log2 in zip(range(0, len(trace.steps), CSV_ROWS), trace._log2_blocks()):
-        lengths = trace.steps[i:i + CSV_ROWS] + 1
-        columns = [lengths.tolist(), log2.tolist()]
-        columns += [sgale_log2(log2, lengths, s, trace.k).tolist() for _, s in s_values]
+    log2 = trace.log2_capitals()
+    for i in range(0, len(trace.steps), CSV_ROWS):
+        lengths, block = trace.steps[i:i + CSV_ROWS] + 1, log2[i:i + CSV_ROWS]
+        columns = [lengths.tolist(), block.tolist()]
+        columns += [sgale_log2(block, lengths, s, trace.k).tolist() for _, s in s_values]
         out.writelines(map(row.format, *columns))

@@ -1,5 +1,5 @@
 """Bounded-memory trajectories: the row-block CSV writer, the trace as a
-view of the walk, and exact capitals from (state, symbol) visit counts.
+view of the walk, and exact capitals generated one at a time.
 
 The one-shot writer below formats every row of a trace at once; the
 block writer must write the same bytes.  The step-by-step product of
@@ -143,14 +143,13 @@ def test_bankrupt_trace_pads_states_after_the_bankrupting_step():
     first_loss = int(np.argmax(trace.rows.symbols != 0))
     states = trace.rows.states.tolist()
     assert states == [0] * (first_loss + 1) + [-1] * (49 - first_loss)
-    assert trace.rows.counts.tolist() == [[first_loss, 1]]
 
 
 # ---------------------------------------------------------------------------
-# exact capitals from visit counts
+# exact capitals, one at a time
 # ---------------------------------------------------------------------------
 
-def test_counts_route_exact_capital_matches_step_by_step_product():
+def test_exact_capitals_match_step_by_step_product():
     n = 700
     finals = []
     for h in (1, 2, 3):
@@ -166,16 +165,6 @@ def test_counts_route_exact_capital_matches_step_by_step_product():
     # bankrupt runs and non-dyadic capitals are both in the sample
     assert any(c == 0 for c in finals)
     assert any(c.denominator & (c.denominator - 1) for c in finals)
-
-
-def test_counts_are_the_visits_of_the_walk():
-    spec = two_state_swing_gambler()
-    buf = prng_source(4).prefix_array(3 * engine.GATHER + 11)
-    w = walk(compile_gambler(spec), buf, len(buf))
-    ref = np.zeros_like(w.counts)
-    np.add.at(ref, (w.states, buf), 1)
-    assert np.array_equal(w.counts, ref)
-    assert w.counts.sum() == len(buf)
 
 
 def test_exact_mode_memory_stays_far_below_one_rational_per_step():
