@@ -24,6 +24,7 @@ per-symbol loss ``eps`` so the combined capital stays within
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -329,10 +330,9 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
 # ---------------------------------------------------------------------------
 
 # Float slack of the audit's log2 decisions, per unit of a margin's scale.
-# A value v of ``log2_fraction`` lies within 8u(1 + |v|) of the true
-# logarithm, u = 2**-53: the mantissa quotient, ``log(2)``, the division
-# and the final sum each round once, and libm's ``log1p`` errs by under
-# 2 ulp.  A margin is a signed sum of at most five such values, ``n``
+# A value v of ``log2_fraction`` lies within ``LOG2_ERROR`` (8u, u = 2**-53)
+# times (1 + |v|) of the true logarithm.  A margin is a signed sum of at
+# most five such values, ``n``
 # times ``log2(1 - 2**(1-r))`` and ``eps * n``, and each of its few float
 # operations rounds once more, so its error is below 16u times its scale,
 # the sum of ``1 + |term|`` over its terms.  2**-40 is 2**13 u.
@@ -358,14 +358,17 @@ class AveragingAudit:
       factor ``k * w`` at every step at which the capital is nonzero;
 
     and from ``sum_bound_start`` on, ``d >= 2**(-eps*n) * (d1 + d2)``.
-    Every capital is an exact rational.  The two bounds are decided on
-    ``log2_fraction`` of those rationals, in float: a margin counts only
-    when it clears ``LOG2_SLACK`` (2**-40) times its scale, the sum of
-    ``1 + |term|`` over its log2 terms (``n`` times for the loss
-    exponent).  A margin within that slack, and a zero capital, are
-    decided exactly by ``frac_geq_product`` / ``geq_pow2_scaled``.
-    ``first_*`` fields hold the earliest violating step (1-based prefix
-    length) or ``None``.
+    Every capital is an exact rational.  Each check is monotone between
+    the steps at which a capital moves: the capitals are fixed there and
+    both right-hand sides shrink with ``n``, so deciding the checks at
+    the moving steps, at step 1 and at ``sum_bound_start`` finds every
+    earliest violation.  The two bounds are decided on ``log2_fraction``
+    of those rationals, in float: a margin counts only when it clears
+    ``LOG2_SLACK`` (2**-40) times its scale, the sum of ``1 + |term|``
+    over its log2 terms (``n`` times for the loss exponent).  A margin
+    within that slack, and a zero capital, are decided exactly by
+    ``frac_geq_product`` / ``geq_pow2_scaled``.  ``first_*`` fields hold
+    the earliest violating step (1-based prefix length) or ``None``.
     """
 
     eps: Fraction
@@ -420,53 +423,81 @@ def averaging_audit(
     engine on the materialized product gambler; any disagreement is
     reported.  The direct route's allocation update depends only on the
     snapped ratio and the two realized weights, which take finitely many
-    values, so it is computed once per distinct step of the audit.
+    values, so it is computed once per distinct step of the audit, and
+    the recurrence over distinct steps is the only per-step loop.
+
+    Exact work is done only where a capital moves: at a step whose factor
+    for it is not 1 while it is not yet 0 (zero is absorbing).  Between
+    moves every capital is fixed while the right-hand sides
+    ``(1 - 2**(1-r))**n * d_j`` and ``2**(-eps*n) * (d1 + d2)`` only shrink,
+    so a bound that holds at a move holds until the next one, and one
+    that fails first fails at a move.  The capitals are multiplied, their
+    logs taken and every check decided at the moving steps, at step 1 and
+    at ``sum_bound_start``; the log2 columns hold each value until the
+    next move.  The engine route is compared on interned factors, at
+    every step before the combined capital reaches 0.
     """
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
     k = g1.k
     buf = source.prefix_array(n)
-    symbols = buf.tolist()
     audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
 
+    # every step factor as an id: equal rationals share one, a factor of 1
+    # (``_factor``'s None: the step leaves the capital as it is) is ``one``
+    # and a factor of 0 is ``zero``
+    one, zero = 0, 1
+    factor_ids: dict[Fraction | None, int] = {None: one, Fraction(0): zero}
+
+    def ids_of(rows) -> np.ndarray:
+        return np.array([[factor_ids.setdefault(f, len(factor_ids)) for f in row]
+                         for row in rows], dtype=np.int64)
+
+    def realized(table: np.ndarray, g, fill: int) -> np.ndarray:
+        """``table[q, s]`` along ``g``'s walk, ``fill`` from a bankrupting
+        step on, where its walk ends."""
+        states = walk(g, buf, n).states
+        out = np.full(n, fill, dtype=np.int64)
+        out[:len(states)] = table[states, buf[:len(states)]]
+        return out
+
     # engine route: the factor k*w by which the materialized gambler's
-    # capital moves at each step; its walk ends at the bankrupting step
+    # capital moves at each step
     product = compile_gambler(combined)
-    kw = [[_factor(k * w) for w in row.weights] for row in product.bets]
-    engine = [kw[q][s] for q, s in zip(walk(product, buf, n).states.tolist(), symbols)]
-    engine += [Fraction(0)] * (n - len(engine))
+    engine = realized(ids_of([[_factor(k * w) for w in row.weights]
+                              for row in product.bets]), product, zero)
 
     # direct route: the components' realized weights, as indices into
-    # their distinct weights.  A component's walk ends at the step that
-    # bankrupts it; its realized weight is 0 from then on, which changes
-    # nothing: its capital stays 0, and the allocation ratio, once snapped
-    # to 0 (or 1), keeps its bet out of the mixture until the combined
-    # capital is 0 too.
+    # their distinct weights.  A component's realized weight is 0 from its
+    # bankrupting step on, which changes nothing: its capital stays 0, and
+    # the allocation ratio, once snapped to 0 (or 1), keeps its bet out of
+    # the mixture until the combined capital is 0 too.
     weights, picks = [], []
     for g in (g1, g2):
         compiled = compile_gambler(g)
         distinct = sorted({w for row in compiled.bets for w in row.weights}
                           | {Fraction(0)})
         index = {w: i for i, w in enumerate(distinct)}
-        table = [[index[w] for w in row.weights] for row in compiled.bets]
-        states = walk(compiled, buf, n).states.tolist()
-        picks.append([table[q][s] for q, s in zip(states, symbols)]
-                     + [index[0]] * (n - len(states)))
+        table = np.array([[index[w] for w in row.weights] for row in compiled.bets])
+        picks.append(realized(table, compiled, index[0]))
         weights.append(distinct)
+    width = len(weights[1])
+    pairs = picks[0] * width + picks[1]
 
     # One distinct step: the snapped ratio and shadow corrections left by
     # the previous step (``after[e]``) meet the realized weights (i1, i2).
-    # Its entry is the next ``after`` index and the factors of d, d1, d2,
-    # dt1 and dt2.
+    # Its entry holds the factors of d, d1, d2, dt1 and dt2, and leads to
+    # ``after[next_after[entry]]``.
     after: list[tuple[Fraction, Fraction, Fraction]] = [
         (Fraction(1, 2), Fraction(1), Fraction(1))]
     after_ids = {after[0]: 0}
-    steps: dict[tuple[int, int, int], tuple] = {}
+    factors: list[tuple] = []
+    next_after: list[int] = []
 
-    def distinct_step(e: int, i1: int, i2: int) -> tuple:
+    def distinct_step(e: int, pair: int) -> int:
         alpha, rho1, rho2 = after[e]
-        w1, w2 = weights[0][i1], weights[1][i2]
+        w1, w2 = weights[0][pair // width], weights[1][pair % width]
         alpha_hat = _alpha_step(alpha, w1, w2)
         snapped = round_dyadic(alpha_hat, r)
         nxt = (snapped,
@@ -475,9 +506,37 @@ def averaging_audit(
         if nxt not in after_ids:
             after_ids[nxt] = len(after)
             after.append(nxt)
-        return (after_ids[nxt], _factor(k * (alpha * w1 + (1 - alpha) * w2)),
-                _factor(k * w1), _factor(k * w2),
-                _factor(rho1 * k * w1), _factor(rho2 * k * w2))
+        next_after.append(after_ids[nxt])
+        factors.append((_factor(k * (alpha * w1 + (1 - alpha) * w2)),
+                        _factor(k * w1), _factor(k * w2),
+                        _factor(rho1 * k * w1), _factor(rho2 * k * w2)))
+        return len(factors) - 1
+
+    span = len(weights[0]) * width
+    entries: dict[int, int] = {}
+    trail, e = array("q"), 0
+    record = trail.append
+    for pair in pairs.tolist():
+        key = e * span + pair
+        j = entries.get(key)
+        if j is None:
+            j = entries[key] = distinct_step(e, pair)
+        record(j)
+        e = next_after[j]
+    trail = np.frombuffer(trail, dtype=np.int64)
+
+    # per step and capital (d, d1, d2, dt1, dt2): the factor's id, and
+    # whether it moves the capital
+    per_step = ids_of(factors).reshape(-1, 5)[trail]
+    # the step index that zeroes each capital, n for one never zeroed
+    zeroed = np.argmax(np.vstack([per_step == zero, np.ones(5, dtype=bool)]), axis=0)
+    moving = (per_step != one) & (np.arange(n)[:, None] <= zeroed)
+
+    # the engine moves the combined capital by the same factor up to the
+    # step at which the combined capital reaches 0
+    upto = zeroed[0] + 1
+    differs = np.flatnonzero(engine[:upto] != per_step[:upto, 0])
+    audit.first_engine_mismatch = int(differs[0]) + 1 if len(differs) else None
 
     base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
     log_loss = log2_fraction(Fraction(base_num, base_den))
@@ -513,38 +572,35 @@ def averaging_audit(
             return geq_pow2_scaled(d, d1 + d2, -eps.numerator * step, eps.denominator)
         return verdict
 
-    log_d, log_d1, log_d2 = np.empty(n), np.empty(n), np.empty(n)
+    checked = moving.any(1)
+    checked[:1] = True
+    if 1 < sum_bound_start <= n:
+        checked[sum_bound_start - 1] = True
+    at = np.flatnonzero(checked)
+    masks = moving[at] @ (1 << np.arange(5))  # bit c: capital c moves
+    values = array("d")
     d = d1 = d2 = dt1 = dt2 = Fraction(1)
     ld = ld1 = ld2 = ldt1 = ldt2 = 0.0
-    e = 0
-    identity = mismatch = sum_bound = None
-    s1 = s2 = None
-    for m, key in enumerate(zip(picks[0], picks[1])):
+    identity = sum_bound = s1 = s2 = None
+    for m, j, mask in zip(at.tolist(), trail[at].tolist(), masks.tolist()):
         step = m + 1
-        entry = steps.get((e, *key))
-        if entry is None:
-            entry = steps[(e, *key)] = distinct_step(e, *key)
-        e, f, f1, f2, ft1, ft2 = entry
-        if mismatch is None and engine[m] != f and d:
-            mismatch = step
-        if f is not None:
+        f, f1, f2, ft1, ft2 = factors[j]
+        if mask & 1:
             d *= f
             ld = log2_fraction(d)
-        if f1 is not None:
+        if mask & 2:
             d1 *= f1
             ld1 = log2_fraction(d1)
-        if f2 is not None:
+        if mask & 4:
             d2 *= f2
             ld2 = log2_fraction(d2)
-        if ft1 is not None:
+        if mask & 8:
             dt1 *= ft1
             ldt1 = log2_fraction(dt1)
-        if ft2 is not None:
+        if mask & 16:
             dt2 *= ft2
             ldt2 = log2_fraction(dt2)
-        if (identity is None
-                and (f is not None or ft1 is not None or ft2 is not None)
-                and 2 * d != dt1 + dt2):
+        if identity is None and mask & 0b11001 and 2 * d != dt1 + dt2:  # d, dt1, dt2
             identity = step
         if s1 is None and not shadow_holds(step, dt1, ldt1, d1, ld1):
             s1 = step
@@ -553,12 +609,13 @@ def averaging_audit(
         if (sum_bound is None and step >= sum_bound_start
                 and not sum_holds(step, d, ld, d1, ld1, d2, ld2)):
             sum_bound = step
-        log_d[m], log_d1[m], log_d2[m] = ld, ld1, ld2
+        values.extend((ld, ld1, ld2))
 
     audit.first_identity_violation = identity
     audit.first_shadow_violation = (s1, s2)
     audit.first_sum_bound_violation = sum_bound
-    audit.first_engine_mismatch = mismatch
-    audit.log2_combined = log_d
-    audit.log2_components = (log_d1, log_d2)
+    held = np.diff(at, append=n)  # steps until the next check
+    columns = np.repeat(np.frombuffer(values).reshape(-1, 3).T, held, axis=1)
+    audit.log2_combined = columns[0]
+    audit.log2_components = (columns[1], columns[2])
     return audit

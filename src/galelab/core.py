@@ -38,6 +38,7 @@ __all__ = [
     "ValidationReport",
     "validate_gambler",
     "BANKRUPT_LOG2",
+    "LOG2_ERROR",
     "encode_symbol_vector",
     "decode_symbol_code",
     "log2_fraction",
@@ -95,6 +96,12 @@ def log2_fraction(x: Fraction) -> float:
         return -_log2_ratio(den, num)
     return _log2_ratio(num, den)
 
+
+# A value v of ``log2_fraction`` lies within LOG2_ERROR * (1 + |v|) of the
+# true logarithm: the mantissa quotient, ``log(2)``, the division and the
+# final sum each round once (u = 2**-53 each), and libm's ``log1p`` errs
+# by under 2 ulp.
+LOG2_ERROR = 8 * 2.0 ** -53
 
 _LN2 = math.log(2)
 

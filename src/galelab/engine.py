@@ -26,7 +26,8 @@ import csv
 import json
 import math
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -36,6 +37,7 @@ import numpy as np
 
 from .core import (
     BANKRUPT_LOG2,
+    LOG2_ERROR,
     GamblerSpec,
     ProbVector,
     log2_fraction,
@@ -124,8 +126,9 @@ class RunTrace:
     (``-1`` once bankrupt), realized symbol and log2 capital *after* its
     bet.  The last row is the martingale value of the whole prefix.  Runs
     longer than ``TRACE_CAP`` keep every ``recorded_every``-th step plus
-    the last; otherwise ``rows`` is the walk itself.  An exact-mode run
-    is one whose final capital holds an exact rational.
+    the last; otherwise ``rows`` is the walk itself.  Either way
+    ``rows.counts`` counts every step of the run.  An exact-mode run is
+    one whose final capital holds an exact rational.
     """
 
     k: int
@@ -152,10 +155,40 @@ class RunTrace:
                            count=len(self.steps))
 
     def all_in_win_count(self) -> int:
-        """Number of steps whose full-capital bet was on the realized symbol."""
+        """Number of steps whose full-capital bet was on the realized symbol,
+        over every step of the run (subsampled rows included)."""
         all_in = np.array([[w == 1 for w in b.weights] for b in self.compiled.bets])
-        live = self.rows.states >= 0
-        return int(all_in[self.rows.states[live], self.rows.symbols[live]].sum())
+        return int(self.rows.counts[all_in].sum())
+
+    def log2_error_bound(self) -> float:
+        """A bound, in bits, on the error of every finite value of
+        :meth:`log2_capitals` and of the final capital's ``bits``.
+
+        In log2 mode a value is a sequential float sum of ``log2(initial)``
+        and one ``log_rows`` entry per step.  Against the exact sum of
+        those floats it errs by at most ``gamma(m) * S``, with ``S`` the sum
+        of their magnitudes, ``m`` the number of additions and
+        ``gamma(m) = m*u / (1 - m*u)``, ``u = 2**-53`` (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., 2002, 4.2).  Each
+        float term errs by at most ``LOG2_ERROR * (1 + |term|)`` against its
+        logarithm, once per visit.  Both are read off the visit counts of
+        the whole run, so the bound covers every prefix.  In exact mode a
+        value is one ``log2_fraction`` of an exact capital, whose magnitude
+        is at most ``S`` plus the log2-mode bound.
+        """
+        g = self.compiled
+        finite = np.isfinite(g.log_rows)  # a zero bet ends the finite values
+        visits = self.rows.counts[finite].astype(np.float64)
+        terms = np.abs(g.log_rows[finite])
+        start = abs(log2_fraction(g.initial))
+        magnitude = start + float(visits @ terms)
+        mu = float(visits.sum()) * 2.0 ** -53
+        bound = (mu / (1 - mu) * magnitude
+                 + LOG2_ERROR * (1 + start + float(visits @ (1 + terms))))
+        if self.final_capital.exact is None:
+            return bound
+        largest = (magnitude + bound + LOG2_ERROR) / (1 - LOG2_ERROR)
+        return LOG2_ERROR * (1 + largest)
 
 
 @dataclass(frozen=True)
@@ -300,11 +333,13 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
 class Walk(NamedTuple):
     """Per-step betting states (up to a bankrupting step), and per-step
     leading symbols and log2 capitals (after the step, ``-inf`` once
-    bankrupt)."""
+    bankrupt).  ``counts[q, s]`` is how often betting state ``q`` met
+    symbol ``s`` over every step walked, the bankrupting step included."""
 
     states: np.ndarray
     symbols: np.ndarray
     log2: np.ndarray
+    counts: np.ndarray
 
 
 def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
@@ -313,7 +348,8 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     The scanned codes are read off the orbit table ``GATHER`` steps at a
     time; only the betting-state recurrence ``q = next_state[q][code]``
     runs step by step.  The log2 capitals are one sequential cumulative
-    sum, so each is the float a step-by-step running sum gives.
+    sum, so each is the float a step-by-step running sum gives; the
+    visit counts are one ``bincount`` per gather of the log terms.
     """
     codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
         memoryview(g.orbit.codes(buf, i, min(i + GATHER, n)).ravel())
@@ -328,15 +364,17 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     states = np.frombuffer(states, dtype=np.int64)
     symbols = buf[:n]
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
-    terms = np.empty(len(states))
+    terms, counts = np.empty(len(states)), np.zeros(flat.size, dtype=np.int64)
     for i in range(0, len(states), GATHER):
         j = min(i + GATHER, len(states))
-        terms[i:j] = flat[states[i:j] * g.k + symbols[i:j]]
+        index = states[i:j] * g.k + symbols[i:j]
+        terms[i:j] = flat[index]
+        counts += np.bincount(index, minlength=flat.size)
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
     if len(states) < n:
         log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
-    return Walk(states, symbols, log2)
+    return Walk(states, symbols, log2, counts.reshape(g.log_rows.shape))
 
 
 def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
@@ -476,6 +514,54 @@ def _exact_capitals(g: CompiledGambler, rows: Walk) -> Iterator[Fraction]:
         yield cap
 
 
+def _coprime_fraction(powers: Mapping[int, int]) -> Fraction:
+    """The rational ``prod(b ** e)`` over ``powers``, ``{b: e}`` with
+    positive integer bases.
+
+    Bases that share a factor are split on their gcd until every two are
+    coprime, which cancels small bases before any is raised to its power.
+    The numerator (the powers with ``e > 0``) and the denominator (``e < 0``)
+    are then coprime by construction, so the big powers need no gcd.  For
+    the non-dyadic swing gambler of the tests at 1e6 steps, that gcd of
+    two 1.5-million-bit integers takes 4.5 s, against 0.4 s for the whole
+    exact run without it (2-core x86-64 host).
+    """
+    bases: dict[int, int] = {}
+    pending = list(powers.items())
+    while pending:
+        b, e = pending.pop()
+        if b == 1 or e == 0:
+            continue
+        for a in bases:
+            common = math.gcd(a, b)
+            if common > 1:  # a * b shrinks by a factor of common, so this ends
+                ea = bases.pop(a)
+                pending += [(common, ea + e), (a // common, ea), (b // common, e)]
+                break
+        else:
+            bases[b] = e
+    num = math.prod(b ** e for b, e in bases.items() if e > 0)
+    den = math.prod(b ** -e for b, e in bases.items() if e < 0)
+    try:
+        return Fraction._from_coprime_ints(num, den)  # Python >= 3.12
+    except AttributeError:
+        return Fraction(num, den, _normalize=False)
+
+
+def _exact_final(g: CompiledGambler, counts: np.ndarray) -> Fraction:
+    """The final exact capital from a walk's visit counts,
+    ``initial * prod((k * w[q][s]) ** counts[q, s])``."""
+    factors = [g.k * g.bets[q].weights[s] for q, s in np.argwhere(counts).tolist()]
+    if not all(factors):
+        return Fraction(0)
+    powers = Counter({g.initial.numerator: 1})
+    powers[g.initial.denominator] -= 1
+    for f, c in zip(factors, counts[counts > 0].tolist()):
+        powers[f.numerator] += c
+        powers[f.denominator] -= c
+    return _coprime_fraction(powers)
+
+
 def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
                    mode: str = "log2") -> RunTrace:
     """Simulate ``n`` steps and return the trace.
@@ -484,12 +570,13 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
     to ``TRACE_CAP`` steps the trace's rows are the walk's own arrays;
     beyond it they are a subsampled copy.  Log2 mode stores base-2 logs
     and is the default for long runs; bankruptcy is the absorbing
-    ``-inf``.  In exact mode the final capital is an exact rational, the
-    last of the per-step capitals that :meth:`RunTrace.exact_capitals`
-    yields one at a time.  Exact capitals grow to Theta(n) bits, so their
-    time is quadratic in ``n`` and exact mode refuses more than
-    ``TRACE_CAP`` steps.  An invalid gambler, an unknown mode or such a
-    horizon raises ``ValueError``.
+    ``-inf``.  In exact mode the final capital is an exact rational, read
+    off the walk's visit counts as one product of powers; the per-step
+    capitals, which :meth:`RunTrace.exact_capitals` multiplies out one at
+    a time, are computed only when asked for.  Exact capitals grow to
+    Theta(n) bits, so the per-step ones take time quadratic in ``n``, and
+    exact mode refuses more than ``TRACE_CAP`` steps.  An invalid gambler,
+    an unknown mode or such a horizon raises ``ValueError``.
     """
     if mode not in ("exact", "log2"):
         raise ValueError(f"unknown capital mode {mode!r}")
@@ -507,9 +594,7 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
                        log2=w.log2[steps])
     final = Capital(float(w.log2[-1]) if n else log2_fraction(g.initial))
     if mode == "exact":
-        exact = g.initial
-        for exact in _exact_capitals(g, w):
-            pass
+        exact = _exact_final(g, w.counts)
         final = Capital(log2_fraction(exact), exact)
     return RunTrace(k=g.k, final_capital=final, recorded_every=every, compiled=g,
                     steps=steps, rows=w)

@@ -9,6 +9,7 @@ columns, on valid gambler pairs and on deliberately broken combinators.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from galelab.core import (
 from galelab.engine import compile_gambler, run_martingale, walk
 from galelab.sequences import f_family, prng_source
 
-from gamblers import random_valid_gambler, two_state_swing_gambler
+from gamblers import array_source, random_valid_gambler, two_state_swing_gambler
 
 
 def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
@@ -248,3 +249,67 @@ def test_identity_fires_when_the_allocation_ignores_the_bets(monkeypatch):
     assert reference.first_identity_violation is None
     assert audit.first_engine_mismatch is None
     assert audit.log2_combined.tobytes() == reference.log2_combined.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# edges of the moving-step schedule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("eps, start, expected", [
+    (Fraction(1, 2), 1, 1), (Fraction(1, 2), 2, None),
+    (Fraction(1, 10), 5, 5), (Fraction(1, 10), 10, None), (Fraction(1, 10), 41, None),
+])
+def test_sum_bound_is_checked_from_its_start_when_no_capital_moves(eps, start, expected):
+    """Two uniform gamblers never move a capital, so only step 1 and
+    ``sum_bound_start`` are checked.  The bound ``1 >= 2**(-eps*n) * 2``
+    fails exactly at the steps ``n < 1/eps``."""
+    n = 40
+    audit = assert_audits_agree(uniform_gambler(), uniform_gambler(), eps,
+                                lambda: prng_source(3), n, start)
+    assert outcome(audit) == (None, (None, None), expected, None)
+    assert not audit.log2_combined.any() and not audit.log2_components[0].any()
+
+
+def test_sum_bound_start_past_the_horizon_skips_the_sum_bound(monkeypatch):
+    """With the allocation rounded away from 1/2 the sum bound fails at
+    step 20; started past the last step it is never checked."""
+    monkeypatch.setattr(constructions, "round_dyadic", _round_away_from_half)
+    g1, g2 = random_valid_gambler(4, 2), random_valid_gambler(5, 1)
+    for start, expected in ((20, 20), (301, None)):
+        audit = assert_audits_agree(g1, g2, Fraction(1, 2), lambda: prng_source(3),
+                                    300, start)
+        assert audit.first_sum_bound_violation == expected
+
+
+def test_a_capital_zeroed_at_step_1_stops_moving(monkeypatch):
+    """A component that goes bankrupt at step 1 has factor 0 at every later
+    step; those steps move nothing, so the audit takes the same number of
+    logarithms however long it runs, and its reported column stays -inf."""
+    logs = []
+    real = constructions.log2_fraction
+    monkeypatch.setattr(constructions, "log2_fraction",
+                        lambda x: logs.append(x) or real(x))
+    bits = [0, 1, 1, 0, 1, 0, 0, 1] * 40
+    counts = []
+    for n in (50, len(bits)):
+        logs.clear()
+        audit = assert_audits_agree(two_state_swing_gambler(), single_minded_gambler(1),
+                                    Fraction(1, 10), lambda: array_source(bits), n)
+        assert audit.ok
+        assert (audit.log2_components[1] == BANKRUPT_LOG2).all()
+        counts.append(sum(x == 0 for x in logs))
+    assert counts[0] == counts[1] == 2   # d2 and its shadow dt2, once each
+
+
+def test_identity_is_checked_where_only_the_shadows_move(monkeypatch):
+    """Mirrored swing gamblers average to a uniform bet while the ratio
+    stays at 1/2, so with an allocation that ignores the bets the combined
+    capital never moves; the shadows do, and break the identity at step 2."""
+    monkeypatch.setattr(constructions, "_alpha_step", lambda alpha, w1, w2: alpha)
+    swing = two_state_swing_gambler()
+    mirror = replace(swing, name="mirror", betting={
+        q: BettingState(ProbVector(row.bets.weights[::-1]), row.transitions)
+        for q, row in swing.betting.items()})
+    audit = averaging_audit(swing, mirror, Fraction(1, 10), prng_source(3), 200)
+    assert audit.first_identity_violation == 2
+    assert not audit.log2_combined.any()
