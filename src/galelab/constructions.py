@@ -462,28 +462,23 @@ def averaging_audit(
         out[:len(states)] = table[states, buf[:len(states)]]
         return out
 
-    # engine route: the factor k*w by which the materialized gambler's
-    # capital moves at each step
-    product = compile_gambler(combined)
-    engine = realized(ids_of([[_factor(k * w) for w in row.weights]
-                              for row in product.bets]), product, zero)
-
     # direct route: the components' realized weights, as indices into
-    # their distinct weights.  A component's realized weight is 0 from its
-    # bankrupting step on, which changes nothing: its capital stays 0, and
-    # the allocation ratio, once snapped to 0 (or 1), keeps its bet out of
-    # the mixture until the combined capital is 0 too.
-    weights, picks = [], []
+    # their distinct weights, one pair number i1 * width + i2 per step.  A
+    # component's realized weight is 0 from its bankrupting step on, which
+    # changes nothing: its capital stays 0, and the allocation ratio, once
+    # snapped to 0 (or 1), keeps its bet out of the mixture until the
+    # combined capital is 0 too.
+    weights, pairs = [], np.zeros(n, dtype=np.int64)
     for g in (g1, g2):
         compiled = compile_gambler(g)
         distinct = sorted({w for row in compiled.bets for w in row.weights}
                           | {Fraction(0)})
         index = {w: i for i, w in enumerate(distinct)}
         table = np.array([[index[w] for w in row.weights] for row in compiled.bets])
-        picks.append(realized(table, compiled, index[0]))
+        pairs *= len(distinct)
+        pairs += realized(table, compiled, index[0])
         weights.append(distinct)
     width = len(weights[1])
-    pairs = picks[0] * width + picks[1]
 
     # One distinct step: the snapped ratio and shadow corrections left by
     # the previous step (``after[e]``) meet the realized weights (i1, i2).
@@ -524,18 +519,23 @@ def averaging_audit(
         record(j)
         e = next_after[j]
     trail = np.frombuffer(trail, dtype=np.int64)
+    del pairs  # a step-sized array: keep the audit's peak memory to its columns
 
-    # per step and capital (d, d1, d2, dt1, dt2): the factor's id, and
-    # whether it moves the capital
-    per_step = ids_of(factors).reshape(-1, 5)[trail]
-    # the step index that zeroes each capital, n for one never zeroed
-    zeroed = np.argmax(np.vstack([per_step == zero, np.ones(5, dtype=bool)]), axis=0)
-    moving = (per_step != one) & (np.arange(n)[:, None] <= zeroed)
+    # per distinct step and capital (d, d1, d2, dt1, dt2), the factor's id;
+    # per step, the step index that zeroes each capital (n for one never
+    # zeroed) and whether the step moves it: zero is absorbing
+    ids = ids_of(factors).reshape(-1, 5)
+    zeroed = np.argmax(np.vstack([(ids == zero)[trail], np.ones(5, dtype=bool)]), axis=0)
+    moving = (ids != one)[trail]
+    for c, z in enumerate(zeroed.tolist()):
+        moving[z + 1:, c] = False
 
-    # the engine moves the combined capital by the same factor up to the
-    # step at which the combined capital reaches 0
+    # engine route: the materialized gambler must move the combined
+    # capital by the same factor k*w up to the step at which it reaches 0
+    product = compile_gambler(combined)
+    kw_ids = ids_of([[_factor(k * w) for w in row.weights] for row in product.bets])
     upto = zeroed[0] + 1
-    differs = np.flatnonzero(engine[:upto] != per_step[:upto, 0])
+    differs = np.flatnonzero(realized(kw_ids, product, zero)[:upto] != ids[trail[:upto], 0])
     audit.first_engine_mismatch = int(differs[0]) + 1 if len(differs) else None
 
     base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
