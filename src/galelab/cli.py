@@ -366,9 +366,10 @@ def _cmd_report(opt: _Options) -> int:
             print("config: " + json.dumps(obj, sort_keys=True))
     print(f"{len(runs)} runs")
     for obj in runs:
-        print(f"  {obj.get('gambler_id')} on {obj.get('seq_id')}: "
-              f"exponent={obj.get('exponent')} "
-              f"final log2 capital={obj.get('log2_capital_final')}")
+        fields = (f"{key}={value if isinstance(value, str) else json.dumps(value)}"
+                  for key, value in obj.items()
+                  if key not in ("type", "gambler_id", "seq_id"))
+        print(f"  {obj.get('gambler_id')} on {obj.get('seq_id')}: " + " ".join(fields))
     for obj in lines:
         if obj.get("type") == "summary":
             print("summary: " + json.dumps(obj, sort_keys=True))

@@ -151,7 +151,7 @@ class RunTrace:
     def log2_capitals(self) -> np.ndarray:
         if self.final_capital.exact is None:
             return self.rows.log2
-        return np.fromiter(map(log2_fraction, self.exact_capitals()), np.float64,
+        return np.fromiter(_log2_runs(self.exact_capitals()), np.float64,
                            count=len(self.steps))
 
     def all_in_win_count(self) -> int:
@@ -505,13 +505,26 @@ def positions(spec: GamblerSpec, horizons: Iterable[int]) -> list[tuple[int, ...
 
 def _exact_capitals(g: CompiledGambler, rows: Walk) -> Iterator[Fraction]:
     """Exact capital after each step of ``rows``, multiplied by ``k * w``
-    along the walk, so one capital is live at a time."""
-    kw = [[g.k * w for w in bets.weights] for bets in g.bets]
+    along the walk, so one capital is live at a time.  A factor of 1 is
+    skipped, so the same object is yielded until the capital moves."""
+    kw = [[None if g.k * w == 1 else g.k * w for w in bets.weights] for bets in g.bets]
     cap = g.initial
     for q, s in zip(memoryview(rows.states), memoryview(rows.symbols)):
         if cap:  # q is -1 only after the capital reached 0
-            cap *= kw[q][s]
+            factor = kw[q][s]
+            if factor is not None:
+                cap *= factor
         yield cap
+
+
+def _log2_runs(caps: Iterable[Fraction]) -> Iterator[float]:
+    """``log2_fraction`` of each of ``caps``, computed once per run of the
+    same capital object."""
+    last = bits = None
+    for cap in caps:
+        if cap is not last:
+            last, bits = cap, log2_fraction(cap)
+        yield bits
 
 
 def _coprime_fraction(powers: Mapping[int, int]) -> Fraction:
@@ -796,6 +809,20 @@ def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
+def _float_reprs(col: np.ndarray, template: str) -> list[str]:
+    """``template.format(x)`` for each value ``x`` of the float64 array
+    ``col``, where ``template`` formats ``x`` as ``{!r}``.
+
+    Values are grouped by bit pattern, so the template is formatted once
+    per distinct pattern and ``-0.0`` keeps its sign; a gale at its
+    critical ``s`` takes a few dozen distinct values in a block of
+    ``CSV_ROWS``.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(template.format, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_trajectory_csv(trace: RunTrace, out: TextIO,
                          s_values: Sequence[tuple[str, Fraction]] = (),
                          config: dict | None = None) -> None:
@@ -805,17 +832,20 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     config, when given, is embedded as a leading comment line so the file
     records how to reproduce it.  The scale-``s`` columns are
     :func:`sgale_log2` of the ``log2_capital`` column.  Rows are
-    formatted ``CSV_ROWS`` at a time, so beyond the trace's log2 column
-    the writer's memory does not grow with the trace.
+    formatted ``CSV_ROWS`` at a time, each float column from its distinct
+    values, and written as one string per block, so beyond the trace's
+    log2 column the writer's memory does not grow with the trace.
     """
     if config is not None:
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
-    row = ",".join(["{!r}"] * (2 + len(s_values))) + "\n"
+    # each float cell carries the separator before it; the last ends the row
+    templates = [",{!r}"] * len(s_values) + [",{!r}\n"]
     log2 = trace.log2_capitals()
     for i in range(0, len(trace.steps), CSV_ROWS):
         lengths, block = trace.steps[i:i + CSV_ROWS] + 1, log2[i:i + CSV_ROWS]
-        columns = [lengths.tolist(), block.tolist()]
-        columns += [sgale_log2(block, lengths, s, trace.k).tolist() for _, s in s_values]
-        out.writelines(map(row.format, *columns))
+        floats = [block] + [sgale_log2(block, lengths, s, trace.k) for _, s in s_values]
+        columns = [map(str, lengths.tolist())]
+        columns += map(_float_reprs, floats, templates)
+        out.write("".join(chain.from_iterable(zip(*columns))))

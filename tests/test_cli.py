@@ -163,7 +163,9 @@ def test_sweep_command_and_report(tmp_path, capsys):
     assert lines[-1]["type"] == "summary"
     assert lines[-1]["best_overall_id"] == "parity_h1"
     assert run("report", "--in", str(out)) == 0
-    assert "parity_h1" in capsys.readouterr().out
+    shown = capsys.readouterr().out
+    assert "parity_h1" in shown and "log2_capital_final=" in shown
+    assert "None" not in shown
 
 
 def test_sweep_reports_are_reproducible(tmp_path):
@@ -184,15 +186,23 @@ def test_instability_command(tmp_path):
     assert set(lines[-1]["matrix"]) == {"fprime", "fdoubleprime"}
 
 
-def test_estimate_dim_command(tmp_path):
+def test_estimate_dim_command(tmp_path, capsys):
     seq = tmp_path / "y.seq"
     out = tmp_path / "dim.jsonl"
     run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
         "--n", "20000", "--out", str(seq))
     assert run("estimate-dim", "--seq", str(seq), "--gambler", "parity:h=2",
-               "--gambler", "uniform", "--out", str(out)) == 0
+               "--gambler", "uniform", "--gambler", "allin:sym=0",
+               "--out", str(out)) == 0
     summary = [json.loads(ln) for ln in out.read_text().splitlines()][-1]
     assert abs(summary["aggregate_upper_bound"] - 0.8) <= 0.01
+    capsys.readouterr()
+    assert run("report", "--in", str(out)) == 0
+    shown = capsys.readouterr().out
+    runs = [ln for ln in shown.splitlines() if ln.startswith("  ")]
+    assert len(runs) == 3 and all("upper_bound=" in ln for ln in runs)
+    assert "bankrupt=true" in runs[2] and "exponent=-inf" in runs[2]
+    assert "None" not in shown
 
 
 # ---------------------------------------------------------------------------

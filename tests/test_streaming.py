@@ -9,13 +9,17 @@ block writer must write the same bytes.  The step-by-step product of
 import csv
 import io
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import galelab.engine as engine
 from galelab import cli
@@ -75,9 +79,22 @@ def reference_exact_capitals(spec, source, n):
 @pytest.mark.parametrize("n", [0, 1, CSV_ROWS - 1, CSV_ROWS, CSV_ROWS + 1,
                                3 * CSV_ROWS + 5])
 def test_block_csv_matches_one_shot_writer(n):
+    src = f_family(2, "F", prng_source(4))
     for spec in (build_parity_gambler(2), two_state_swing_gambler()):
-        text = assert_same_csv(run_martingale(spec, f_family(2, "F", prng_source(4)), n))
+        text = assert_same_csv(run_martingale(spec, src, n))
         assert text.count("\n") == 2 + n
+    # non-dyadic bets: every log2 capital of these runs is a distinct float
+    for seed, h in ((9, 1), (4, 2), (13, 2)):
+        trace = run_martingale(random_valid_gambler(seed, h), src, n)
+        assert len(np.unique(trace.log2_capitals().view(np.int64))) == n
+        assert assert_same_csv(trace).count("\n") == 2 + n
+    # a log2 column holding both zeros: grouped by bit pattern, -0.0 keeps its sign
+    trace = run_martingale(build_parity_gambler(2), src, n)
+    signed = trace.rows.log2.copy()
+    signed[1::2][signed[1::2] == 0] = -0.0
+    text = assert_same_csv(replace(trace, rows=trace.rows._replace(log2=signed)))
+    if n >= 2:
+        assert "\n1,0.0," in text and "\n2,-0.0," in text
 
 
 def test_block_csv_matches_on_bankrupt_runs():
@@ -101,6 +118,25 @@ def test_block_csv_matches_on_a_subsampled_trace(monkeypatch):
                            3 * CSV_ROWS + 5)
     assert trace.recorded_every == 3 and len(trace.steps) == CSV_ROWS + 3
     assert_same_csv(trace)
+
+
+# signed zeros, infinities, NaNs (quiet, negative, with a payload), the
+# smallest and largest subnormals and the extremes of the normal range
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  float(np.int64(0x7FF8_0000_0000_0001).view(np.float64)),
+                  5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pool=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                     min_size=1, max_size=40),
+       picks=st.lists(st.integers(0, 1000), max_size=600))
+def test_block_formatter_is_repr_of_every_value(pool, picks):
+    # drawing the block from a small pool makes values repeat
+    col = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    assert engine._float_reprs(col, "{!r}") == list(map(repr, col.tolist()))
+    assert engine._float_reprs(col, ",{!r}\n") == [f",{x!r}\n" for x in col.tolist()]
 
 
 def test_csv_writer_memory_is_flat_in_the_trace_length(tmp_path):
@@ -165,6 +201,30 @@ def test_exact_capitals_match_step_by_step_product():
     # bankrupt runs and non-dyadic capitals are both in the sample
     assert any(c == 0 for c in finals)
     assert any(c.denominator & (c.denominator - 1) for c in finals)
+
+
+def test_exact_log2_column_takes_one_log_per_capital_move(monkeypatch):
+    n = 2000
+    src = f_family(2, "F", prng_source(4))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return log2_fraction(x)
+
+    monkeypatch.setattr(engine, "log2_fraction", counted)
+    logs = []
+    for spec in (build_parity_gambler(2), two_state_swing_gambler(),
+                 single_minded_gambler(0)):
+        trace = run_martingale(spec, src, n, mode="exact")
+        ref = reference_exact_capitals(spec, src, n)
+        calls.clear()
+        assert trace.log2_capitals().tolist() == [log2_fraction(c) for c in ref]
+        assert len(calls) == 1 + sum(a != b for a, b in zip(ref, ref[1:]))
+        logs.append(len(calls))
+    # the parity winner doubles once per 5-step block, the swing gambler's
+    # capital moves at every step and the all-in gambler's stops at 0
+    assert logs[0] == n // 5 and logs[1] == n and logs[2] < 20
 
 
 def test_exact_mode_memory_stays_far_below_one_rational_per_step():
