@@ -27,7 +27,7 @@ for h in (1, 2, 3):
     spec = build_parity_gambler(h)
     src = f_family(h, "F", prng_source(1))
     trace = run_martingale(spec, src, N)
-    log2_cap = trace.final_capital.log2()
+    log2_cap = trace.final_capital.bits
     est = success_exponent(trace)
     print(f"h={h}: {spec.head_count}-head gambler on {src.describe()}")
     print(f"  block prime p={p}, steps n={N}")
@@ -41,6 +41,6 @@ spec = build_parity_gambler(2)
 src = f_family(2, "F", prng_source(1))
 trace = run_martingale(spec, src, N)
 s = 1 - Fraction(1, 5) + Fraction(1, 20)
-scaled = sgale_log2([trace.final_capital.log2()], [N], s, 2)[0]
+scaled = sgale_log2([trace.final_capital.bits], [N], s, 2)[0]
 print(f"\nscaled capital at s = {s}: log2 = {scaled:.0f} "
       f"(~ n/20 = {N / 20:.0f})")

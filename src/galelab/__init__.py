@@ -43,7 +43,6 @@ from .engine import (
     measure_speeds,
     positions,
     run_martingale,
-    run_log2_capitals,
     sgale_log2,
     success_exponent,
     window_exponents,

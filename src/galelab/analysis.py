@@ -31,7 +31,7 @@ from .core import (
     ProbVector,
 )
 from .constructions import average_gamblers, build_variant_gambler
-from .engine import run_log2_capitals, walk_population, window_exponents
+from .engine import compile_gambler, walk, walk_population, window_exponents
 from .sequences import SequenceSource, f_family, prng_source
 
 __all__ = [
@@ -88,7 +88,7 @@ class RunRecord:
 
 def _run_record(spec: GamblerSpec, source: SequenceSource, n: int,
                 gambler_id: str | None = None) -> RunRecord:
-    caps = run_log2_capitals(spec, source, n)
+    caps = walk(compile_gambler(spec), source, n).log2
     est = window_exponents(caps, spec.k)
     return RunRecord(
         gambler_id=gambler_id or spec.label(),

@@ -33,6 +33,11 @@ EXIT_USAGE = 64
 _FAMILIES = ("F", "Fprime", "Fdoubleprime")
 _REQUIRED = object()
 
+# the least value of each bounded integer option, as a flag or a config
+# entry: horizons and counts may be 0, search budgets must be positive
+_LEAST = {"n": 0, "n_max": 0, "depth": 0, "samples": 0,
+          "max_t": 1, "max_q": 1, "bet_denom": 1}
+
 
 class _UsageError(Exception):
     pass
@@ -74,16 +79,19 @@ class _Options:
 
     def integer(self, name: str, default=_REQUIRED) -> int:
         """An integer option: an int, an integral float (a JSON ``1e5``) or
-        a decimal string; a boolean or a fractional float is refused."""
-        value = self(name, default)
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            try:
-                return int(value)
-            except ValueError:
-                pass
-        raise _UsageError(f"bad integer for --{name.replace('_', '-')}: {value!r}")
+        a decimal string; a boolean, a fractional float or a value below
+        the option's ``_LEAST`` is refused."""
+        value, flag = self(name, default), "--" + name.replace("_", "-")
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):  # a list, "x", inf
+            number = None
+        if (number is None or isinstance(value, bool)
+                or isinstance(value, float) and number != value):
+            raise _UsageError(f"bad integer for {flag}: {value!r}")
+        if number < _LEAST.get(name, number):
+            raise _UsageError(f"{flag} must be at least {_LEAST[name]}, not {number}")
+        return number
 
     def out(self):
         """The ``--out`` path, checked before any computation starts."""
@@ -241,7 +249,7 @@ def _cmd_simulate(opt: _Options) -> int:
     trace = engine.run_martingale(spec, src, n, mode=mode)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         engine.write_trajectory_csv(trace, fh, s_values, config=config)
-    final = trace.final_capital.log2()
+    final = trace.final_capital.bits
     print(f"final log2 capital after {n} steps: "
           f"{'-inf' if final == core.BANKRUPT_LOG2 else final}")
     return EXIT_OK

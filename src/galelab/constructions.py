@@ -228,7 +228,8 @@ def single_minded_gambler(symbol: int, k: int = 2) -> GamblerSpec:
 # ---------------------------------------------------------------------------
 
 def _alpha_step(alpha: Fraction, w1: Fraction, w2: Fraction) -> Fraction:
-    """Unrounded allocation update for realized bet weights w1, w2.
+    """Unrounded allocation update for realized bet weights w1, w2, or
+    for their fair factors k*w1, k*w2, which give the same ratio.
 
     A zero denominator means the combined bet on the realized symbol was
     zero, so the capital is already gone; the update resets to 1/2 to
@@ -422,7 +423,7 @@ def averaging_audit(
     ratio, the component capitals and the two shadows), and through the
     engine on the materialized product gambler; any disagreement is
     reported.  The direct route's allocation update depends only on the
-    snapped ratio and the two realized weights, which take finitely many
+    snapped ratio and the two realized factors, which take finitely many
     values, so it is computed once per distinct step of the audit, and
     the recurrence over distinct steps is the only per-step loop.
 
@@ -440,8 +441,6 @@ def averaging_audit(
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
-    k = g1.k
-    buf = source.prefix_array(n)
     audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
 
     # every step factor as an id: equal rationals share one, a factor of 1
@@ -457,31 +456,31 @@ def averaging_audit(
     def realized(table: np.ndarray, g, fill: int) -> np.ndarray:
         """``table[q, s]`` along ``g``'s walk, ``fill`` from a bankrupting
         step on, where its walk ends."""
-        states = walk(g, buf, n).states
+        w = walk(g, source, n)
         out = np.full(n, fill, dtype=np.int64)
-        out[:len(states)] = table[states, buf[:len(states)]]
+        out[:len(w.states)] = table[w.states, w.symbols[:len(w.states)]]
         return out
 
-    # direct route: the components' realized weights, as indices into
-    # their distinct weights, one pair number i1 * width + i2 per step.  A
-    # component's realized weight is 0 from its bankrupting step on, which
+    # direct route: the components' realized factors k*w, as indices into
+    # their distinct factors, one pair number i1 * width + i2 per step.  A
+    # component's realized factor is 0 from its bankrupting step on, which
     # changes nothing: its capital stays 0, and the allocation ratio, once
     # snapped to 0 (or 1), keeps its bet out of the mixture until the
-    # combined capital is 0 too.
-    weights, pairs = [], np.zeros(n, dtype=np.int64)
+    # combined capital is 0 too.  The allocation update and the combined
+    # factor are homogeneous in the factors: the same rationals as on weights.
+    factors_of, pairs = [], np.zeros(n, dtype=np.int64)
     for g in (g1, g2):
         compiled = compile_gambler(g)
-        distinct = sorted({w for row in compiled.bets for w in row.weights}
-                          | {Fraction(0)})
-        index = {w: i for i, w in enumerate(distinct)}
-        table = np.array([[index[w] for w in row.weights] for row in compiled.bets])
+        distinct = sorted({f for row in compiled.factors for f in row} | {Fraction(0)})
+        index = {f: i for i, f in enumerate(distinct)}
+        table = np.array([[index[f] for f in row] for row in compiled.factors])
         pairs *= len(distinct)
         pairs += realized(table, compiled, index[0])
-        weights.append(distinct)
-    width = len(weights[1])
+        factors_of.append(distinct)
+    width = len(factors_of[1])
 
     # One distinct step: the snapped ratio and shadow corrections left by
-    # the previous step (``after[e]``) meet the realized weights (i1, i2).
+    # the previous step (``after[e]``) meet the realized factors (i1, i2).
     # Its entry holds the factors of d, d1, d2, dt1 and dt2, and leads to
     # ``after[next_after[entry]]``.
     after: list[tuple[Fraction, Fraction, Fraction]] = [
@@ -492,8 +491,8 @@ def averaging_audit(
 
     def distinct_step(e: int, pair: int) -> int:
         alpha, rho1, rho2 = after[e]
-        w1, w2 = weights[0][pair // width], weights[1][pair % width]
-        alpha_hat = _alpha_step(alpha, w1, w2)
+        f1, f2 = factors_of[0][pair // width], factors_of[1][pair % width]
+        alpha_hat = _alpha_step(alpha, f1, f2)
         snapped = round_dyadic(alpha_hat, r)
         nxt = (snapped,
                snapped / alpha_hat if alpha_hat else Fraction(0),
@@ -502,12 +501,11 @@ def averaging_audit(
             after_ids[nxt] = len(after)
             after.append(nxt)
         next_after.append(after_ids[nxt])
-        factors.append((_factor(k * (alpha * w1 + (1 - alpha) * w2)),
-                        _factor(k * w1), _factor(k * w2),
-                        _factor(rho1 * k * w1), _factor(rho2 * k * w2)))
+        factors.append((_factor(alpha * f1 + (1 - alpha) * f2), _factor(f1), _factor(f2),
+                        _factor(rho1 * f1), _factor(rho2 * f2)))
         return len(factors) - 1
 
-    span = len(weights[0]) * width
+    span = len(factors_of[0]) * width
     entries: dict[int, int] = {}
     trail, e = array("q"), 0
     record = trail.append
@@ -531,9 +529,9 @@ def averaging_audit(
         moving[z + 1:, c] = False
 
     # engine route: the materialized gambler must move the combined
-    # capital by the same factor k*w up to the step at which it reaches 0
+    # capital by the same factor up to the step at which it reaches 0
     product = compile_gambler(combined)
-    kw_ids = ids_of([[_factor(k * w) for w in row.weights] for row in product.bets])
+    kw_ids = ids_of([map(_factor, row) for row in product.factors])
     upto = zeroed[0] + 1
     differs = np.flatnonzero(realized(kw_ids, product, zero)[:upto] != ids[trail[:upto], 0])
     audit.first_engine_mismatch = int(differs[0]) + 1 if len(differs) else None

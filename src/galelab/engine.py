@@ -5,7 +5,9 @@ step ``m`` is the bet distribution of the betting state reached *before*
 symbol ``m`` is revealed, so a bet can never depend on the symbol it is
 placed on; trailing heads sit at or behind the leading head and their
 reads feed the *next* state, not the current bet.  Capital follows the
-fair rule ``capital *= k * bet(realized symbol)``.
+fair rule ``capital *= k * bet(realized symbol)``, whose factors
+:func:`compile_gambler` tabulates once as ``CompiledGambler.factors``;
+every capital, exact or log2, is read off that table.
 
 Besides the simulator this module provides the log2 of the scale-``s``
 gale ``k**((s-1)*n) * d(w)``, sliding-window growth-exponent estimates
@@ -39,7 +41,6 @@ from .core import (
     BANKRUPT_LOG2,
     LOG2_ERROR,
     GamblerSpec,
-    ProbVector,
     log2_fraction,
     validate_gambler,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "walk_population",
     "positions",
     "run_martingale",
-    "run_log2_capitals",
     "window_exponents",
     "success_exponent",
     "sgale_log2",
@@ -131,7 +131,6 @@ class RunTrace:
     one whose final capital holds an exact rational.
     """
 
-    k: int
     final_capital: Capital
     recorded_every: int
     compiled: CompiledGambler
@@ -157,7 +156,7 @@ class RunTrace:
     def all_in_win_count(self) -> int:
         """Number of steps whose full-capital bet was on the realized symbol,
         over every step of the run (subsampled rows included)."""
-        all_in = np.array([[w == 1 for w in b.weights] for b in self.compiled.bets])
+        all_in = np.array(self.compiled.factors) == self.compiled.k
         return int(self.rows.counts[all_in].sum())
 
     def log2_error_bound(self) -> float:
@@ -296,10 +295,12 @@ def _compile_betting(spec: GamblerSpec):
 class CompiledGambler(NamedTuple):
     """A validated gambler as flat tables, built once per run.
 
-    ``next_state[q][code]`` is ``-1`` where state ``q`` bets nothing on the
-    leading symbol of ``code`` (the gambler is bankrupt and stops),
-    ``log_rows[q, s]`` is ``log2(k * w)`` of its bet weight ``w`` on ``s``
-    and ``orbit`` is the one-row table of its positional orbit.
+    ``factors[q][s]`` is the fair factor ``k * w`` of betting state ``q``'s
+    bet weight ``w`` on symbol ``s``: a step from ``q`` on ``s`` multiplies
+    the capital by it.  ``next_state[q][code]`` is ``-1`` where that factor
+    is 0 for the leading symbol of ``code`` (the gambler is bankrupt and
+    stops), ``log_rows[q, s]`` is ``log2(factors[q][s])`` and ``orbit`` is
+    the one-row table of its positional orbit.
     """
 
     k: int
@@ -307,7 +308,7 @@ class CompiledGambler(NamedTuple):
     initial: Fraction
     q0: int
     state_ids: list[str]
-    bets: list[ProbVector]
+    factors: list[list[Fraction]]
     next_state: list[list[int]]
     log_rows: np.ndarray
     orbit: _Orbits
@@ -321,12 +322,12 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
                          + "; ".join(str(v) for v in report))
     k = spec.k
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
-    next_state = [[-1 if bets.weights[code % k] == 0 else t
-                   for code, t in enumerate(row)] for row, bets in zip(trans, bet_rows)]
-    log_rows = np.array([[log2_fraction(k * w) for w in bets.weights]
-                         for bets in bet_rows])
+    factors = [[k * w for w in bets.weights] for bets in bet_rows]
+    next_state = [[-1 if fs[code % k] == 0 else t for code, t in enumerate(row)]
+                  for row, fs in zip(trans, factors)]
+    log_rows = np.array([[log2_fraction(f) for f in fs] for fs in factors])
     return CompiledGambler(k, spec.head_count, spec.initial_capital,
-                           q_index[spec.initial_q], q_ids, bet_rows, next_state,
+                           q_index[spec.initial_q], q_ids, factors, next_state,
                            log_rows, _Orbits.of(spec))
 
 
@@ -342,17 +343,25 @@ class Walk(NamedTuple):
     counts: np.ndarray
 
 
-def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
-    """Walk a compiled gambler over the first ``n`` symbols of ``buf``.
+def _check_alphabet(source: SequenceSource, k: int) -> None:
+    if source.alphabet_size != k:
+        raise ValueError(f"source alphabet size {source.alphabet_size} != gambler's {k}")
 
-    The scanned codes are read off the orbit table ``GATHER`` steps at a
-    time; only the betting-state recurrence ``q = next_state[q][code]``
-    runs step by step.  The log2 capitals are one sequential cumulative
-    sum, so each is the float a step-by-step running sum gives; the
-    visit counts are one ``bincount`` per gather of the log terms.
+
+def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
+    """Walk a compiled gambler over the first ``n`` symbols of ``source``.
+
+    A source over another alphabet raises ``ValueError``.  The scanned
+    codes are read off the orbit table ``GATHER`` steps at a time; only
+    the betting-state recurrence ``q = next_state[q][code]`` runs step by
+    step.  The log2 capitals are one sequential cumulative sum, so each
+    is the float a step-by-step running sum gives; the visit counts are
+    one ``bincount`` per gather of the log terms.
     """
+    _check_alphabet(source, g.k)
+    symbols = source.prefix_array(n)
     codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
-        memoryview(g.orbit.codes(buf, i, min(i + GATHER, n)).ravel())
+        memoryview(g.orbit.codes(symbols, i, min(i + GATHER, n)).ravel())
         for i in range(0, n, GATHER))
     q, table, states = g.q0, g.next_state, array("q")
     record = states.append
@@ -362,7 +371,6 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
         if q < 0:
             break
     states = np.frombuffer(states, dtype=np.int64)
-    symbols = buf[:n]
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
     terms, counts = np.empty(len(states)), np.zeros(flat.size, dtype=np.int64)
     for i in range(0, len(states), GATHER):
@@ -375,19 +383,6 @@ def walk(g: CompiledGambler, buf: np.ndarray, n: int) -> Walk:
     if len(states) < n:
         log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
     return Walk(states, symbols, log2, counts.reshape(g.log_rows.shape))
-
-
-def _compile_for(spec: GamblerSpec, source: SequenceSource) -> CompiledGambler:
-    g = compile_gambler(spec)
-    if source.alphabet_size != g.k:
-        raise ValueError(
-            f"source alphabet size {source.alphabet_size} != gambler's {g.k}")
-    return g
-
-
-def _walk_source(spec: GamblerSpec, source: SequenceSource, n: int):
-    g = _compile_for(spec, source)
-    return g, walk(g, source.prefix_array(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +424,8 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     orbits: dict[tuple, tuple[int, _Orbits]] = {}
     orbit_of, widest = array("q"), k
     for spec in specs:
-        g = _compile_for(spec, source)
+        g = compile_gambler(spec)
+        _check_alphabet(source, g.k)
         width = k ** g.head_count  # codes per betting state
         base, widest = len(next_flat), max(widest, width)
         for row in g.next_state:
@@ -504,14 +500,14 @@ def positions(spec: GamblerSpec, horizons: Iterable[int]) -> list[tuple[int, ...
 
 
 def _exact_capitals(g: CompiledGambler, rows: Walk) -> Iterator[Fraction]:
-    """Exact capital after each step of ``rows``, multiplied by ``k * w``
+    """Exact capital after each step of ``rows``, multiplied by its factor
     along the walk, so one capital is live at a time.  A factor of 1 is
     skipped, so the same object is yielded until the capital moves."""
-    kw = [[None if g.k * w == 1 else g.k * w for w in bets.weights] for bets in g.bets]
+    moves = [[None if f == 1 else f for f in row] for row in g.factors]
     cap = g.initial
     for q, s in zip(memoryview(rows.states), memoryview(rows.symbols)):
         if cap:  # q is -1 only after the capital reached 0
-            factor = kw[q][s]
+            factor = moves[q][s]
             if factor is not None:
                 cap *= factor
         yield cap
@@ -563,8 +559,8 @@ def _coprime_fraction(powers: Mapping[int, int]) -> Fraction:
 
 def _exact_final(g: CompiledGambler, counts: np.ndarray) -> Fraction:
     """The final exact capital from a walk's visit counts,
-    ``initial * prod((k * w[q][s]) ** counts[q, s])``."""
-    factors = [g.k * g.bets[q].weights[s] for q, s in np.argwhere(counts).tolist()]
+    ``initial * prod(factors[q][s] ** counts[q, s])``."""
+    factors = [g.factors[q][s] for q, s in np.argwhere(counts).tolist()]
     if not all(factors):
         return Fraction(0)
     powers = Counter({g.initial.numerator: 1})
@@ -595,7 +591,8 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
         raise ValueError(f"unknown capital mode {mode!r}")
     if mode == "exact" and n > TRACE_CAP:
         raise ValueError(f"exact mode runs at most {TRACE_CAP} steps, not {n}")
-    g, w = _walk_source(spec, source, n)
+    g = compile_gambler(spec)
+    w = walk(g, source, n)
     if len(w.states) < n:  # bankrupt: no betting state from the next step on
         w = w._replace(states=np.concatenate([w.states, np.full(n - len(w.states), -1)]))
     every = 1 if n <= TRACE_CAP else -(-n // TRACE_CAP)
@@ -609,18 +606,8 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
     if mode == "exact":
         exact = _exact_final(g, w.counts)
         final = Capital(log2_fraction(exact), exact)
-    return RunTrace(k=g.k, final_capital=final, recorded_every=every, compiled=g,
+    return RunTrace(final_capital=final, recorded_every=every, compiled=g,
                     steps=steps, rows=w)
-
-
-def run_log2_capitals(spec: GamblerSpec, source: SequenceSource, n: int) -> np.ndarray:
-    """Per-step log2 capitals without building a trace (batch runs).
-
-    Agrees step for step with ``run_martingale(..., mode="log2")``; once
-    bankrupt the remainder is ``-inf``.  An invalid gambler raises
-    ``ValueError``.
-    """
-    return _walk_source(spec, source, n)[1].log2
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +656,7 @@ def success_exponent(trace: RunTrace) -> ExponentEstimate:
     """
     if len(trace.steps) < 100:
         raise ValueError("trace too short for exponent estimation (need >= 100)")
-    return window_exponents(trace.log2_capitals(), trace.k, trace.steps + 1.0)
+    return window_exponents(trace.log2_capitals(), trace.compiled.k, trace.steps + 1.0)
 
 
 def sgale_log2(log2_caps, lengths: Iterable[int], s: Fraction, k: int) -> np.ndarray:
@@ -842,10 +829,10 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
     # each float cell carries the separator before it; the last ends the row
     templates = [",{!r}"] * len(s_values) + [",{!r}\n"]
-    log2 = trace.log2_capitals()
+    log2, k = trace.log2_capitals(), trace.compiled.k
     for i in range(0, len(trace.steps), CSV_ROWS):
         lengths, block = trace.steps[i:i + CSV_ROWS] + 1, log2[i:i + CSV_ROWS]
-        floats = [block] + [sgale_log2(block, lengths, s, trace.k) for _, s in s_values]
+        floats = [block] + [sgale_log2(block, lengths, s, k) for _, s in s_values]
         columns = [map(str, lengths.tolist())]
         columns += map(_float_reprs, floats, templates)
         out.write("".join(chain.from_iterable(zip(*columns))))

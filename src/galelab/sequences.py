@@ -172,7 +172,10 @@ class SequenceSource:
         return int(self._buf[i])
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """Read-only view of the first ``n`` symbols."""
+        """Read-only view of the first ``n`` symbols; a negative ``n``
+        raises ``ValueError``."""
+        if n < 0:
+            raise ValueError(f"negative prefix length {n}")
         self.ensure(n)
         view = self._buf[:n]
         view.flags.writeable = False

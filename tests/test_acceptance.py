@@ -69,7 +69,7 @@ def test_capital_identity_doubling():
             trace = run_martingale(spec, src, n)
             elapsed = time.perf_counter() - t0
             worst = max(worst, elapsed)
-            got = trace.final_capital.log2()
+            got = trace.final_capital.bits
             check(f"capital-identity h={h} seed={seed}",
                   got == float(expected) and abs(got - n / p) <= 1.0,
                   f"log2 capital {got}, expected {expected}")

@@ -53,8 +53,8 @@ def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
     weights = []
     for g in (g1, g2):
         compiled = compile_gambler(g)
-        states = walk(compiled, buf, n).states.tolist()
-        weights.append([compiled.bets[q].weights[int(buf[m])]
+        states = walk(compiled, source, n).states.tolist()
+        weights.append([g.betting[compiled.state_ids[q]].bets[int(buf[m])]
                         for m, q in enumerate(states)]
                        + [Fraction(0)] * (n - len(states)))
 

@@ -401,3 +401,48 @@ def test_n_beyond_the_sequence_file_is_refused_before_any_work(tmp_path, capsys,
     assert captured.err == (f"validation failure: sequence {seq} "
                             "holds 100 symbols, not 500\n")
     assert not out.exists()
+
+
+# A negative horizon or count, or an empty search budget, for which each
+# command would die on an uncaught error, report a check as holding, or
+# write an empty report.
+OUT_OF_RANGE = [
+    (("gen-seq", "--variant", "F", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -5, 0),
+    (("simulate", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"), "--n", -5, 0),
+    (("verify", "--check", "parity", "--h", "2"), "--n", -4, 0),
+    (("verify", "--check", "speeds", "--gambler", "parity:h=2"), "--n-max", -4, 0),
+    (("verify", "--check", "martingale", "--gambler", "parity:h=2"), "--depth", -1, 0),
+    (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--samples", -2, 0),
+    (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--max-t", 0, 1),
+    (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--max-q", 0, 1),
+    (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--bet-denom", 0, 1),
+    (("sweep", "--h", "1", "--samples", "2", "--out", "OUT"), "--n", -1, 0),
+    (("instability", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -1, 0),
+    (("estimate-dim", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"),
+     "--n", -1, 0),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv, flag, value, least", OUT_OF_RANGE,
+                         ids=[" ".join(case[0][:3]) + f" {case[1]}" for case in OUT_OF_RANGE])
+def test_out_of_range_integer_exits_64_before_any_output(tmp_path, capsys, argv, flag,
+                                                         value, least, via):
+    seq = tmp_path / "y.seq"
+    assert run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
+               "--n", "100", "--out", str(seq)) == 0
+    argv = [{"SEQ": str(seq), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    if via == "flag":
+        argv += [flag, str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        argv += ["--config", str(cfg)]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"usage error: {flag} must be at least {least}, not {value}\n")
+    assert sorted(tmp_path.iterdir()) == before

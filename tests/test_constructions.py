@@ -21,9 +21,10 @@ from galelab.engine import (
     check_martingale_property,
     check_speed_bounds,
     measure_speeds,
+    compile_gambler,
     positions,
-    run_log2_capitals,
     run_martingale,
+    walk,
     window_exponents,
 )
 from galelab.sequences import f_family, nth_prime, prng_source
@@ -110,7 +111,7 @@ def test_parity_gambler_unsupported_h():
 def test_parity_gambler_doubling_count(h, n, expected):
     spec = build_parity_gambler(h)
     src = f_family(h, "F", prng_source(1))
-    assert run_martingale(spec, src, n).final_capital.log2() == float(expected)
+    assert run_martingale(spec, src, n).final_capital.bits == float(expected)
 
 
 def test_parity_gambler_boundary_bets_always_win():
@@ -123,7 +124,7 @@ def test_parity_gambler_boundary_bets_always_win():
         rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
                    trace.rows.symbols.tolist())
         for m, q, symbol in rows:
-            bet = trace.compiled.bets[q][symbol]
+            bet = spec.betting[trace.compiled.state_ids[q]].bets[symbol]
             if m % p == 0 and m > 0:
                 assert bet == 1, f"boundary bet lost at step {m}, seed {seed}"
                 wins += 1
@@ -150,13 +151,13 @@ def test_variant_gamblers_shape_and_speeds():
 def test_variant_gambler_wins_on_matching_sequence(variant):
     spec = build_variant_gambler(2, variant)
     src = f_family(2, variant, prng_source(1))
-    assert run_martingale(spec, src, 1000).final_capital.log2() == 199.0
+    assert run_martingale(spec, src, 1000).final_capital.bits == 199.0
 
 
 def test_variant_gambler_fails_on_mismatched_sequence():
     spec = build_variant_gambler(2, "Fprime")
     src = f_family(2, "Fdoubleprime", prng_source(1))
-    caps = run_log2_capitals(spec, src, 100_000)
+    caps = walk(compile_gambler(spec), src, 100_000).log2
     est = window_exponents(caps, 2)
     assert est.limsup_est <= 0.02  # all-in losses leave it bankrupt
 
@@ -168,7 +169,7 @@ def test_wrong_speed_schedule_gains_nothing():
     # it samples is not the boundary parity, so boundary bets are blind
     wrong = _block_gambler(3, [1, 1], "wrong_speeds")
     src = f_family(2, "F", prng_source(1))
-    caps = run_log2_capitals(wrong, src, 50_000)
+    caps = walk(compile_gambler(wrong), src, 50_000).log2
     assert window_exponents(caps, 2).limsup_est <= 0.02
 
 
@@ -182,7 +183,7 @@ def test_scaled_capital_clears_threshold_at_every_prefix():
     rows = zip(trace.steps.tolist(), trace.rows.states.tolist(),
                trace.rows.symbols.tolist())
     for m, q, symbol in rows:
-        if trace.compiled.bets[q][symbol] == 1:
+        if spec.betting[trace.compiled.state_ids[q]].bets[symbol] == 1:
             wins += 1
         n = m + 1
         # exact arithmetic: doubling count plus the scale shift
@@ -273,6 +274,6 @@ def test_averaged_gambler_grows_on_both_variants():
     combined = average_gamblers(g1, g2, Fraction(1, 10))
     for variant in ("Fprime", "Fdoubleprime"):
         src = f_family(2, variant, prng_source(1))
-        caps = run_log2_capitals(combined, src, 30_000)
+        caps = walk(compile_gambler(combined), src, 30_000).log2
         est = window_exponents(caps, 2)
         assert est.limsup_est >= 0.2 - 0.1 - 0.01

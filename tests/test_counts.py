@@ -61,7 +61,7 @@ def test_coprime_fraction_cancels_shared_bases():
 def test_counts_cover_every_step_and_the_bankrupting_one():
     spec = single_minded_gambler(0)
     src = f_family(2, "F", prng_source(4))
-    w = walk(compile_gambler(spec), src.prefix_array(50), 50)
+    w = walk(compile_gambler(spec), src, 50)
     first_loss = int(np.argmax(src.prefix_array(50) != 0))
     assert w.counts.tolist() == [[first_loss, 1]]
 
@@ -94,46 +94,50 @@ def test_all_in_wins_count_every_step_of_a_subsampled_run(monkeypatch):
     trace = run_martingale(spec, src, n)
     assert trace.recorded_every == 11
     g = compile_gambler(spec)
-    w = walk(g, src.prefix_array(n), n)
-    wins = sum(g.bets[q].weights[s] == 1
+    w = walk(g, src, n)
+    wins = sum(spec.betting[g.state_ids[q]].bets[s] == 1
                for q, s in zip(w.states.tolist(), w.symbols.tolist()))
     assert wins == -(-n // 5) - 1
     assert trace.all_in_win_count() == wins
 
 
-def _mpmath_log2(g, counts) -> mpmath.mpf:
-    """log2 of a run's final capital, as a 60-digit sum over its visit counts."""
+def _mpmath_log2(spec, g, counts) -> mpmath.mpf:
+    """log2 of a run's final capital, as a 60-digit sum over its visit
+    counts, with the bet weights read from ``spec``."""
     with mpmath.workdps(60):
-        total = mpmath.log(g.initial.numerator, 2) - mpmath.log(g.initial.denominator, 2)
+        initial = spec.initial_capital
+        total = mpmath.log(initial.numerator, 2) - mpmath.log(initial.denominator, 2)
         for (q, s), c in zip(np.argwhere(counts).tolist(), counts[counts > 0].tolist()):
-            f = g.k * g.bets[q].weights[s]
+            f = spec.k * spec.betting[g.state_ids[q]].bets[s]
             total += c * (mpmath.log(f.numerator, 2) - mpmath.log(f.denominator, 2))
         return total
 
 
-def _error(value: float, g, counts) -> mpmath.mpf:
+def _error(value: float, spec, g, counts) -> mpmath.mpf:
     with mpmath.workdps(60):
-        return abs(mpmath.mpf(value) - _mpmath_log2(g, counts))
+        return abs(mpmath.mpf(value) - _mpmath_log2(spec, g, counts))
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_log2_error_bound_holds_against_mpmath(n):
-    src = prng_source(2)
-    trace = run_martingale(two_state_swing_gambler(), src, n)
+    src, spec = prng_source(2), two_state_swing_gambler()
+    trace = run_martingale(spec, src, n)
     g, bound = trace.compiled, trace.log2_error_bound()
-    error = _error(trace.final_capital.bits, g, trace.rows.counts)
+    error = _error(trace.final_capital.bits, spec, g, trace.rows.counts)
     assert error <= bound < 1e-5
     assert error > 0   # the sum drifts, so the check is not vacuous
     for m in (1, 10, 1000, n // 2):   # the bound covers every prefix
-        prefix = walk(g, src.prefix_array(m), m)
+        prefix = walk(g, src, m)
         assert prefix.log2[-1] == trace.rows.log2[m - 1]
-        assert _error(prefix.log2[-1], g, prefix.counts) <= bound
+        assert _error(prefix.log2[-1], spec, g, prefix.counts) <= bound
 
 
 def test_exact_mode_log2_error_bound_holds_against_mpmath():
-    trace = run_martingale(two_state_swing_gambler(), prng_source(2), 10_000, mode="exact")
+    spec = two_state_swing_gambler()
+    trace = run_martingale(spec, prng_source(2), 10_000, mode="exact")
     bound = trace.log2_error_bound()
-    assert _error(trace.final_capital.bits, trace.compiled, trace.rows.counts) <= bound < 1e-10
+    assert _error(trace.final_capital.bits, spec, trace.compiled,
+                  trace.rows.counts) <= bound < 1e-10
 
 
 def test_log2_error_bound_covers_bankrupt_and_dyadic_runs():

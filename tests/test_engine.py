@@ -24,12 +24,13 @@ from galelab.constructions import (
 from galelab.engine import (
     check_martingale_property,
     check_speed_bounds,
+    compile_gambler,
     measure_speeds,
     positions,
-    run_log2_capitals,
     run_martingale,
     sgale_log2,
     success_exponent,
+    walk,
     window_exponents,
     write_trajectory_csv,
 )
@@ -93,9 +94,9 @@ def test_positions_exact_beyond_int64():
 
 def test_uniform_bettor_keeps_initial_capital():
     trace = run_martingale(uniform_gambler(), prng_source(0), 500)
-    assert trace.final_capital.log2() == 0.0
+    assert trace.final_capital.bits == 0.0
     exact = run_martingale(uniform_gambler(), prng_source(0), 500, mode="exact")
-    assert exact.final_capital.exact_value() == 1
+    assert exact.final_capital.exact == 1
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 997, 1000, 1001, 5000])
@@ -104,15 +105,15 @@ def test_parity_gambler_doubles_once_per_block(n):
     src = f_family(2, "F", prng_source(1))
     trace = run_martingale(spec, src, n)
     expected = -(-n // 5) - 1  # ceil(n/5) - 1
-    assert trace.final_capital.log2() == float(expected)
-    assert abs(trace.final_capital.log2() - n / 5) <= 1.0
+    assert trace.final_capital.bits == float(expected)
+    assert abs(trace.final_capital.bits - n / 5) <= 1.0
 
 
 def test_parity_gambler_capital_independent_of_inner_sequence():
     spec = build_parity_gambler(2)
     for seed in (1, 2, 3):
         src = f_family(2, "F", prng_source(seed))
-        assert run_martingale(spec, src, 1000).final_capital.log2() == 199.0
+        assert run_martingale(spec, src, 1000).final_capital.bits == 199.0
 
 
 def test_all_in_gambler_bankrupts_at_first_loss():
@@ -130,7 +131,7 @@ def test_trace_capital_recursion_and_positions_bound():
                trace.rows.symbols.tolist(), trace.exact_capitals(),
                positions(spec, trace.steps.tolist()))
     for m, q, symbol, exact, pos in rows:
-        cap *= 2 * trace.compiled.bets[q][symbol]
+        cap *= 2 * spec.betting[trace.compiled.state_ids[q]].bets[symbol]
         assert exact == cap
         assert all(p <= m for p in pos)
 
@@ -144,7 +145,7 @@ def test_bets_cannot_depend_on_the_symbol_they_cover():
     tb = run_martingale(spec, array_source(b), 61)
     qa, qb = ta.rows.states[60], tb.rows.states[60]
     assert qa >= 0 and qb >= 0
-    assert ta.compiled.bets[qa] == tb.compiled.bets[qb]
+    assert ta.compiled.factors[qa] == tb.compiled.factors[qb]
     assert ta.compiled.state_ids[qa] == tb.compiled.state_ids[qb]
 
 
@@ -158,21 +159,21 @@ def test_exact_and_log_runs_agree():
     src = prng_source(5)
     exact = run_martingale(spec, src, 2000, mode="exact")
     logt = run_martingale(spec, src, 2000, mode="log2")
-    ref = exact.final_capital.log2()
-    assert abs(ref - logt.final_capital.log2()) <= 1e-9 * max(1.0, abs(ref))
+    ref = exact.final_capital.bits
+    assert abs(ref - logt.final_capital.bits) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_fast_runner_matches_trace_runner():
     for spec in (build_parity_gambler(2), two_state_swing_gambler(),
                  random_valid_gambler(7, h=2)):
         src = f_family(2, "F", prng_source(9))
-        caps = run_log2_capitals(spec, src, 400)
+        caps = walk(compile_gambler(spec), src, 400).log2
         trace = run_martingale(spec, src, 400)
         assert np.allclose(caps, trace.log2_capitals(), atol=1e-9)
 
 
 def test_fast_runner_fills_bankrupt_tail():
-    caps = run_log2_capitals(single_minded_gambler(0), constant_source(1), 50)
+    caps = walk(compile_gambler(single_minded_gambler(0)), constant_source(1), 50).log2
     assert np.all(caps == float("-inf"))
 
 
@@ -397,3 +398,19 @@ def test_trajectory_csv_bankrupt_literal():
     write_trajectory_csv(trace, buf)
     rows = buf.getvalue().strip().splitlines()[1:]
     assert all(row.split(",")[1] == "-inf" for row in rows)
+
+
+ENGINE_API = {
+    "Capital", "RunTrace", "SpeedProfile", "ExponentEstimate", "CompiledGambler",
+    "compile_gambler", "walk", "PopulationRun", "walk_population", "positions",
+    "run_martingale", "window_exponents", "success_exponent", "sgale_log2",
+    "check_martingale_property", "measure_speeds", "check_speed_bounds",
+    "write_trajectory_csv", "TRACE_CAP", "CSV_ROWS", "CHUNK", "WINDOW_FRAC",
+}
+
+
+def test_engine_public_surface_is_pinned():
+    """Adding or removing engine API is a deliberate change to this set."""
+    assert len(engine.__all__) == len(ENGINE_API)
+    assert set(engine.__all__) == ENGINE_API
+    assert all(hasattr(engine, name) for name in ENGINE_API)

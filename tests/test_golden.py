@@ -17,7 +17,7 @@ import galelab.engine as engine
 from galelab import cli
 from galelab.constructions import averaging_audit, build_variant_gambler
 from galelab.core import save_gambler
-from galelab.engine import run_log2_capitals
+from galelab.engine import compile_gambler, walk
 from galelab.sequences import f_family, prng_source
 
 from gamblers import random_valid_gambler, two_state_swing_gambler
@@ -123,7 +123,7 @@ def test_batch_log2_capitals_digest():
     src = f_family(2, "F", prng_source(3))
     for h in (1, 2, 3, 4):
         for seed in range(25):
-            caps = run_log2_capitals(random_valid_gambler(seed, h), src, 3000)
+            caps = walk(compile_gambler(random_valid_gambler(seed, h)), src, 3000).log2
             digest.update(caps.tobytes())
     assert digest.hexdigest() == GOLDEN["batch_log2"]
 

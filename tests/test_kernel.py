@@ -29,7 +29,6 @@ from galelab.engine import (
     check_speed_bounds,
     compile_gambler,
     measure_speeds,
-    run_log2_capitals,
     run_martingale,
     walk,
 )
@@ -63,11 +62,12 @@ def reference_walk(spec: GamblerSpec, buf, n: int):
     return states, np.array(caps, dtype=np.float64)
 
 
-def assert_walk_matches(spec, buf, n):
+def assert_walk_matches(spec, source, n):
+    buf = source.prefix_array(n)
     states, caps = reference_walk(spec, buf, n)
-    w = walk(compile_gambler(spec), buf, n)
+    w = walk(compile_gambler(spec), source, n)
     assert w.states.tolist() == states
-    assert w.symbols.tolist() == [int(b) for b in buf[:n]]
+    assert w.symbols.tolist() == [int(b) for b in buf]
     assert w.log2.tobytes() == caps.tobytes()
     return len(states) < n
 
@@ -78,8 +78,8 @@ def test_walk_matches_reference_on_random_gamblers(h):
     preperiodic = bankrupt = 0
     for seed in range(30):
         spec = random_valid_gambler(seed, h)
-        buf = f_family(2, "F", prng_source(seed)).prefix_array(n)
-        bankrupt += assert_walk_matches(spec, buf, n)
+        src = f_family(2, "F", prng_source(seed))
+        bankrupt += assert_walk_matches(spec, src, n)
         preperiodic += measure_speeds(spec).preperiod_length > 0
     # the sample exercises both kinds of run the kernel treats specially
     assert bankrupt > 0
@@ -88,15 +88,14 @@ def test_walk_matches_reference_on_random_gamblers(h):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_walk_matches_reference_on_tiny_horizons(n):
-    buf = prng_source(4).prefix_array(2)
+    src = prng_source(4)
     for h in (1, 2, 3, 4):
         for seed in range(10):
-            assert_walk_matches(random_valid_gambler(seed, h), buf, n)
+            assert_walk_matches(random_valid_gambler(seed, h), src, n)
 
 
 def test_walk_stops_at_the_bankrupting_step():
-    buf = constant_source(1).prefix_array(50)
-    w = walk(compile_gambler(single_minded_gambler(0)), buf, 50)
+    w = walk(compile_gambler(single_minded_gambler(0)), constant_source(1), 50)
     assert len(w.states) == 1
     assert np.all(w.log2 == float("-inf"))
 
@@ -106,10 +105,11 @@ def test_walk_memory_peak():
     more than its own result (states and log2 capitals, 0.8 MB each): the
     codes and the log terms are computed in chunks."""
     g = compile_gambler(build_parity_gambler(1))
-    buf = f_family(1, "F", prng_source(7)).prefix_array(100_000)
+    src = f_family(1, "F", prng_source(7))
+    src.prefix_array(100_000)  # filled before measuring
     tracemalloc.start()
     try:
-        w = walk(g, buf, 100_000)
+        w = walk(g, src, 100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -122,10 +122,10 @@ def test_batch_and_trace_runners_agree_bit_for_bit():
     for h in (1, 2, 3):
         for seed in range(10):
             spec = random_valid_gambler(seed, h)
-            caps = run_log2_capitals(spec, src, 500)
+            caps = walk(compile_gambler(spec), src, 500).log2
             trace = run_martingale(spec, src, 500)
             assert caps.tobytes() == trace.log2_capitals().tobytes()
-            assert trace.final_capital.log2() == caps[-1]
+            assert trace.final_capital.bits == caps[-1]
 
 
 def test_trace_columns_after_bankruptcy():
@@ -141,7 +141,11 @@ def test_trace_columns_after_bankruptcy():
 # validation at compile time
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("run", [run_martingale, run_log2_capitals])
+def walk_spec(spec, source, n):
+    return walk(compile_gambler(spec), source, n)
+
+
+@pytest.mark.parametrize("run", [run_martingale, walk_spec])
 def test_runs_reject_an_invalid_gambler(run):
     with pytest.raises(ValueError, match="sum to 3/2"):
         run(overbetting_gambler(), prng_source(0), 1000)
@@ -153,6 +157,26 @@ def test_compile_names_every_violation():
                       "t0", "missing")
     with pytest.raises(ValueError, match="sum to 3/2.*'missing' unknown"):
         compile_gambler(bad)
+
+
+def test_compiled_factors_are_the_fair_factors_of_the_spec():
+    """``factors[q][s]`` is ``k * w`` for each state's bet weight, and the
+    log terms are ``log2_fraction`` of those very factors, bit for bit."""
+    kinds = set()
+    for h in (1, 2, 3, 4):
+        for seed in range(20):
+            spec = random_valid_gambler(seed, h)
+            g = compile_gambler(spec)
+            want = [[spec.k * w for w in spec.betting[qid].bets.weights]
+                    for qid in g.state_ids]
+            assert g.factors == want
+            logs = np.array([[log2_fraction(f) for f in row] for row in g.factors])
+            assert g.log_rows.tobytes() == logs.tobytes()
+            factors = [f for row in want for f in row]
+            kinds |= {"zero" for f in factors if f == 0}
+            kinds |= {"all-in" for f in factors if f == spec.k}
+            kinds |= {"non-dyadic" for f in factors if f.denominator & (f.denominator - 1)}
+    assert kinds == {"zero", "all-in", "non-dyadic"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The population walk against one walk per gambler.
 
 For every gambler, ``walk_population`` must give the very floats that its
-own run gives: the last of ``run_log2_capitals`` and both estimates of
+own run gives: the last log2 capital of its ``walk`` and both estimates of
 ``window_exponents``, compared as bytes.
 """
 
 import numpy as np
 import pytest
 
+from galelab.analysis import estimate_predim_upper
 from galelab.constructions import (
     build_parity_gambler,
     single_minded_gambler,
@@ -16,7 +17,9 @@ from galelab.constructions import (
 from galelab.engine import (
     CHUNK,
     WINDOW_FRAC,
-    run_log2_capitals,
+    compile_gambler,
+    run_martingale,
+    walk,
     walk_population,
     window_exponents,
 )
@@ -33,7 +36,7 @@ from gamblers import (
 def single_runs(specs, src, n):
     rows = []
     for spec in specs:
-        caps = run_log2_capitals(spec, src, n)
+        caps = walk(compile_gambler(spec), src, n).log2
         est = window_exponents(caps, spec.k)
         rows.append((caps[-1], est.limsup_est, est.liminf_est))
     return np.array(rows)
@@ -116,10 +119,14 @@ def test_population_without_bankruptcies():
 def test_population_rejects_what_a_single_run_rejects(bad):
     src = prng_source(0)
     with pytest.raises(ValueError) as single:
-        run_log2_capitals(bad, src, 10)
-    with pytest.raises(ValueError) as population:
-        walk_population(iter([uniform_gambler(), bad]), src, 10)
-    assert str(population.value) == str(single.value)
+        run_martingale(bad, src, 10)
+    runs = [lambda: walk(compile_gambler(bad), src, 10),
+            lambda: walk_population(iter([uniform_gambler(), bad]), src, 10),
+            lambda: estimate_predim_upper(src, [uniform_gambler(), bad], 10)]
+    for run in runs:
+        with pytest.raises(ValueError) as other:
+            run()
+        assert str(other.value) == str(single.value)
 
 
 def test_empty_population_and_empty_horizon():

@@ -388,6 +388,22 @@ def test_prefix_cap_is_enforced(monkeypatch):
         src.prefix_array(2000)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: prng_source(0),
+    lambda: constant_source(1),
+    lambda: array_source([0, 1, 1]),
+    lambda: f_family(2, "F", prng_source(0)),
+], ids=["prng", "constant", "file", "derived"])
+def test_negative_prefix_length_is_refused(make):
+    """A negative length would slice the buffer from its end and return
+    symbols that were never filled."""
+    src = make()
+    src.prefix_array(3)
+    with pytest.raises(ValueError, match="negative prefix length -1"):
+        src.prefix_array(-1)
+    assert src.prefix_array(0).size == 0
+
+
 def test_constant_source():
     src = constant_source(1)
     assert list(src.prefix_array(5)) == [1, 1, 1, 1, 1]

@@ -49,7 +49,8 @@ def reference_write_trajectory_csv(trace, out, s_values=(), config=None):
     writer.writerow(["n", "log2_capital"] + [f"sgale_{label}" for label, _ in s_values])
     log2 = trace.log2_capitals()
     columns = [(trace.steps + 1).tolist(), log2.tolist()]
-    columns += [sgale_log2(log2, trace.steps + 1, s, trace.k).tolist() for _, s in s_values]
+    k = trace.compiled.k
+    columns += [sgale_log2(log2, trace.steps + 1, s, k).tolist() for _, s in s_values]
     row = ",".join(["{!r}"] * len(columns)) + "\n"
     out.writelines(map(row.format, *columns))
 
@@ -66,8 +67,9 @@ def reference_exact_capitals(spec, source, n):
     """Exact capital after each of ``n`` steps, multiplied step by step."""
     g = compile_gambler(spec)
     buf = source.prefix_array(n)
-    states = walk(g, buf, n).states.tolist()
-    factors = (g.k * g.bets[q].weights[s] for q, s in zip(states, buf.tolist()))
+    states = walk(g, source, n).states.tolist()
+    factors = (spec.k * spec.betting[g.state_ids[q]].bets[s]
+               for q, s in zip(states, buf.tolist()))
     caps = list(accumulate(factors, mul, initial=g.initial))[1:]
     return caps + [Fraction(0)] * (n - len(caps))
 
@@ -195,8 +197,8 @@ def test_exact_capitals_match_step_by_step_product():
             trace = run_martingale(spec, src, n, mode="exact")
             ref = reference_exact_capitals(spec, src, n)
             assert list(trace.exact_capitals()) == ref
-            assert trace.final_capital.exact_value() == ref[-1]
-            assert trace.final_capital.log2() == log2_fraction(ref[-1])
+            assert trace.final_capital.exact == ref[-1]
+            assert trace.final_capital.bits == log2_fraction(ref[-1])
             finals.append(ref[-1])
     # bankrupt runs and non-dyadic capitals are both in the sample
     assert any(c == 0 for c in finals)
@@ -239,7 +241,7 @@ def test_exact_mode_memory_stays_far_below_one_rational_per_step():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.final_capital.exact_value() == 2 ** 19_999
+    assert trace.final_capital.exact == 2 ** 19_999
     assert log2[-1] == 19_999.0
     assert peak < 16 * 2**20
 
