@@ -299,11 +299,12 @@ def _cmd_verify(opt: _Options) -> int:
 
 
 def _cmd_sweep(opt: _Options) -> int:
-    h, n = opt.integer("h"), opt.integer("n")
+    h = opt.integer("h")
     out = opt.out()
     if opt("seq", None):
         src, n = _load_sequence(opt)
     else:
+        n = opt.integer("n")
         src = sequences.f_family(h, opt("seq_variant", "F"),
                                  sequences.prng_source(opt.integer("seq_seed", 1)))
     budget = analysis.SweepBudget(
@@ -330,6 +331,8 @@ def _cmd_instability(opt: _Options) -> int:
     h, seed, n = opt.integer("h"), opt.integer("seed"), opt.integer("n")
     eps = _fraction(opt("epsilon", "1/10"), "--epsilon")
     out = opt.out()
+    if h < 2:  # refused before the config is echoed, like any other bad input
+        raise ValueError("instability needs h >= 2 (two distinct variants)")
     _echo({"command": "instability", "h": h, "seed": seed, "n": n,
            "epsilon": str(eps), "out": str(out)})
     report = analysis.instability_experiment(h, seed, n, eps)

@@ -18,8 +18,9 @@ analysis (head speeds and the position-deviation bound).
 A single run is one :func:`walk` of a compiled gambler, in which only
 the betting-state recurrence is serial.  A population of gamblers over
 one source is one :func:`walk_population`, which moves every live
-gambler at each step with one array gather.  Distinct runs over shared
-immutable sources may execute concurrently.
+gambler a block of steps at a time with one array gather into jump
+tables of a fixed size.  Distinct runs over shared immutable sources may
+execute concurrently.
 """
 
 from __future__ import annotations
@@ -83,9 +84,14 @@ CSV_ROWS = 4096
 # limsup and liminf
 WINDOW_FRAC = 0.1
 
-# steps per block of a population walk: a block of 500 gamblers holds
-# 128k elements, 1 MB per int64 or float64 array
+# most steps per chunk of a population walk, which holds whole blocks of
+# its stride: a chunk of 500 gamblers holds 128k elements, 1 MB per int64
+# or float64 array
 CHUNK = 256
+
+# entries of a population walk's jump and log tables together, as many
+# as one chunk of 500 gamblers: 1 MB at 8 bytes each
+_TABLE_ENTRIES = 2**17
 
 # elements per log-term gather of a single walk: its index arrays stay
 # at 32 KB however long the run
@@ -400,6 +406,81 @@ class PopulationRun(NamedTuple):
     liminf_est: np.ndarray
 
 
+class _Tables(NamedTuple):
+    """A population as ``stride``-step jump tables (see
+    :func:`walk_population`): from the row at offset ``r`` the block of
+    codes ``v`` leads to the row at ``jump[r + v]``, and
+    ``step_logs[j, r + v]`` is the log2 term of its step ``j``.  Each
+    gambler's first row, log2 initial capital and row in ``orbits`` are
+    ``start``, ``init`` and ``orbit_of``; orbit ``o`` reads ``widths[o]``
+    codes per step."""
+
+    labels: list[str]
+    stride: int
+    jump: np.ndarray
+    step_logs: np.ndarray
+    start: np.ndarray
+    init: np.ndarray
+    orbits: list[_Orbits]
+    orbit_of: np.ndarray
+    widths: np.ndarray
+
+
+def _population_tables(specs: Iterable[GamblerSpec], source: SequenceSource) -> _Tables:
+    """Compile ``specs`` one at a time into one population's jump tables.
+
+    Each betting state is first a row of its ``w`` codes in one-step
+    tables, ``next_flat`` (offsets of the next rows) and ``log_flat``,
+    followed by the absorbing row.  Every entry of its ``w**stride`` in
+    the jump tables then walks ``stride`` steps of those, all at once.
+    """
+    k = source.alphabet_size
+    labels: list[str] = []
+    next_flat, log_flat, start, init = array("q"), array("d"), array("q"), array("d")
+    row_widths, orbit_of = array("q"), array("q")
+    orbits: dict[tuple, tuple[int, _Orbits, int]] = {}
+    for spec in specs:
+        g = compile_gambler(spec)
+        _check_alphabet(source, g.k)
+        width = k ** g.head_count  # codes per betting state
+        base = len(next_flat)
+        for row in g.next_state:
+            next_flat.extend(-1 if t < 0 else base + t * width for t in row)
+        log_flat.extend(np.tile(g.log_rows, width // k).ravel().tolist())
+        row_widths.extend([width] * len(g.next_state))
+        key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
+        orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit, width))[0])
+        start.append(base + g.q0 * width)
+        init.append(log2_fraction(g.initial))
+        labels.append(spec.label())
+    bankrupt, widest = len(next_flat), max(row_widths, default=k)
+    row_widths.append(widest)
+    nxt = np.array(next_flat, dtype=np.int64)
+    nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
+    logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
+    counts, stride = Counter(row_widths), 1  # B + 1 tables of sum(w**B) entries
+    while stride < CHUNK and (stride + 2) * sum(
+            c * w ** (stride + 1) for w, c in counts.items()) <= _TABLE_ENTRIES:
+        stride += 1
+    widths = np.array(row_widths, dtype=np.int64)
+    rows, sizes = np.cumsum(widths) - widths, widths ** stride
+    offsets = np.cumsum(sizes) - sizes
+    moved = np.zeros(len(nxt), dtype=np.int64)  # a row's offset in the jump tables
+    moved[rows] = offsets
+    owner = np.repeat(np.arange(len(rows)), sizes)  # the row of each entry
+    block, at, w = np.arange(len(owner)) - offsets[owner], rows[owner], widths[owner]
+    step_logs = np.empty((stride, len(owner)))
+    for into in step_logs:  # step j reads digit j of the block
+        block, code = np.divmod(block, w)
+        at += code
+        np.take(logs, at, out=into)
+        at = nxt[at]
+    return _Tables(labels, stride, moved[at], step_logs,
+                   moved[np.array(start, dtype=np.int64)], np.array(init),
+                   [o for _, o, _ in orbits.values()], np.array(orbit_of, dtype=np.int64),
+                   np.array([w for *_, w in orbits.values()], dtype=np.int64))
+
+
 def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
                     n: int) -> PopulationRun:
     """Walk many gamblers together over the first ``n`` symbols of a source.
@@ -407,61 +488,60 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     Each gambler is compiled as it is drawn from ``specs`` (an invalid one,
     or one over another alphabet, raises ``ValueError`` as a single run
     does) and only its table rows and label are kept.  Every betting
-    state is a row of one flat table, and one shared absorbing row stands
-    for bankruptcy.  A row's entries are the offsets of the next rows, so
-    one step of the whole live population is one add and one gather,
-    ``q = next_flat[q + code]``, and the log2 bet terms are a gather at
-    the same indices.  Gamblers with one positional orbit read the same
-    codes, which are computed once per orbit and per ``CHUNK`` steps.
-    Each chunk's log2 capitals are a sequential cumulative sum seeded
-    with the carried capital, so every value, and hence every exponent,
-    is the float that :func:`walk` and :func:`window_exponents` give.
-    Bankrupt gamblers leave the population at the end of a chunk.
+    state is a row of one flat jump table, and one shared absorbing row
+    stands for bankruptcy.  The walk moves ``B`` steps at a time: the row
+    of a state with ``w`` codes per step has one entry per block of ``B``
+    codes ``c_j``, at ``v = sum(c_j * w**j)``, holding the offset of the
+    row reached after them.  One block of the whole live population is
+    then one add and one gather, ``q = jump[q + v]``, and the log2 bet
+    terms of its steps are ``B`` gathers at the same indices, one in each
+    step's log table.  ``B`` is derived from the population: the largest
+    stride whose jump table and ``B`` log tables, ``B + 1`` arrays of
+    ``sum(w**B)`` entries over the rows, fit in ``_TABLE_ENTRIES`` (1 MB
+    at 8 bytes an entry), and 1 when even two-step tables do not.  The
+    sweep's 500 sampled gamblers and planted winner get ``B = 3`` at
+    ``h = 1`` and ``B = 2`` at ``h = 2``.  Gamblers with one positional
+    orbit read the same codes, which are computed once per orbit and per
+    chunk of at most ``CHUNK`` steps, a whole number of blocks.  A run's
+    last block is padded with code 0 and the padded steps' terms are
+    dropped, so liveness is read from the carried capital, ``-inf`` once
+    bankrupt, never from the state after the padding.  Each chunk's log2
+    capitals are a sequential cumulative sum seeded with the carried
+    capital, so every value, and hence every exponent, is the float that
+    :func:`walk` and :func:`window_exponents` give.  Bankrupt gamblers
+    leave the population at the end of a chunk.
     """
-    k = source.alphabet_size
-    labels: list[str] = []
-    next_flat, log_flat, start, init = array("q"), array("d"), array("q"), array("d")
-    orbits: dict[tuple, tuple[int, _Orbits]] = {}
-    orbit_of, widest = array("q"), k
-    for spec in specs:
-        g = compile_gambler(spec)
-        _check_alphabet(source, g.k)
-        width = k ** g.head_count  # codes per betting state
-        base, widest = len(next_flat), max(widest, width)
-        for row in g.next_state:
-            next_flat.extend(-1 if t < 0 else base + t * width for t in row)
-        log_flat.extend(np.tile(g.log_rows, width // k).ravel().tolist())
-        key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
-        orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit))[0])
-        start.append(base + g.q0 * width)
-        init.append(log2_fraction(g.initial))
-        labels.append(spec.label())
-    out = [np.full(len(labels), BANKRUPT_LOG2) for _ in range(3)]
-    if not labels:
-        return PopulationRun(labels, *out)
+    t = _population_tables(specs, source)
+    out = [np.full(len(t.labels), BANKRUPT_LOG2) for _ in range(3)]
+    if not t.labels:
+        return PopulationRun(t.labels, *out)
     if n <= 0:
         raise ValueError("empty trace")
     log2_final, limsup, liminf = out
-    bankrupt = len(next_flat)
-    nxt = np.array(next_flat, dtype=np.int64)
-    nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
-    logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
-    all_orbits = _Orbits.stack([orbit for _, orbit in orbits.values()])
-    orbit_of = np.array(orbit_of, dtype=np.int64)
+    k, stride = source.alphabet_size, t.stride
+    all_orbits = _Orbits.stack(t.orbits)
     buf = source.prefix_array(n)
     window = _window_start(n)
 
-    live = np.arange(len(labels))
-    q, carry = np.array(start, dtype=np.int64), np.array(init)
+    live = np.arange(len(t.labels))
+    q, carry = t.start, t.init
     hi, lo = np.full(len(live), -math.inf), np.full(len(live), math.inf)
-    used, column = np.unique(orbit_of, return_inverse=True)
-    for m0 in range(0, n, CHUNK):
-        m1 = min(m0 + CHUNK, n)
-        idx = all_orbits.select(used).codes(buf, m0, m1)[:, column]
-        for row in idx:  # row becomes the flat index q + code of its step
+    used, column = np.unique(t.orbit_of, return_inverse=True)
+    span = stride * (CHUNK // stride)
+    for m0 in range(0, n, span):
+        m1 = min(m0 + span, n)
+        blocks = -(-(m1 - m0) // stride)
+        codes = np.zeros((blocks * stride, len(used)), dtype=np.int64)
+        codes[:m1 - m0] = all_orbits.select(used).codes(buf, m0, m1)
+        places = t.widths[used] ** np.arange(stride)[:, None]  # w**j for step j
+        idx = (codes.reshape(blocks, stride, len(used)) * places).sum(axis=1)[:, column]
+        for row in idx:  # row becomes the jump index q + v of its block
             row += q
-            q = nxt[row]
-        caps = logs[idx]
+            q = t.jump[row]
+        caps = np.empty((blocks, stride, len(live)))
+        for j, logs in enumerate(t.step_logs):
+            np.take(logs, idx, out=caps[:, j])
+        caps = caps.reshape(-1, len(live))[:m1 - m0]
         caps[0] += carry
         np.cumsum(caps, axis=0, out=caps)
         carry = caps[-1].copy()
@@ -471,15 +551,15 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
                                            lengths[:, None], k)
             np.maximum(hi, top, out=hi)
             np.minimum(lo, bottom, out=lo)
-        alive = q != bankrupt
+        alive = carry != BANKRUPT_LOG2  # q may have passed the padded codes
         if not alive.all():  # a bankrupt run's last capital, so its liminf, is -inf
             limsup[live[~alive]] = hi[~alive]
             live, q, carry, hi, lo = (a[alive] for a in (live, q, carry, hi, lo))
             if not len(live):
                 break
-            used, column = np.unique(orbit_of[live], return_inverse=True)
+            used, column = np.unique(t.orbit_of[live], return_inverse=True)
     log2_final[live], limsup[live], liminf[live] = carry, hi, lo
-    return PopulationRun(labels, log2_final, limsup, liminf)
+    return PopulationRun(t.labels, log2_final, limsup, liminf)
 
 
 # ---------------------------------------------------------------------------

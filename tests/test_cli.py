@@ -177,6 +177,32 @@ def test_sweep_reports_are_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_over_a_sequence_file_defaults_n_to_its_length(tmp_path, capsys):
+    seq, out = tmp_path / "y.seq", tmp_path / "s.jsonl"
+    assert run("gen-seq", "--variant", "F", "--h", "1", "--seed", "1",
+               "--n", "300", "--out", str(seq)) == 0
+    capsys.readouterr()
+    assert run("sweep", "--h", "1", "--seq", str(seq), "--samples", "2",
+               "--out", str(out)) == 0
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+    assert echoed["n"] == 300
+    runs = [obj for obj in map(json.loads, out.read_text().splitlines())
+            if obj["type"] == "run"]
+    assert len(runs) == 2 and all(obj["n"] == 300 for obj in runs)
+
+
+@pytest.mark.parametrize("h", ["0", "1"])
+def test_instability_refuses_h_below_2_before_echoing(tmp_path, capsys, h):
+    out = tmp_path / "inst.jsonl"
+    assert run("instability", "--h", h, "--seed", "1", "--n", "200",
+               "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("validation failure: instability needs h >= 2 "
+                            "(two distinct variants)\n")
+    assert not out.exists()
+
+
 def test_instability_command(tmp_path):
     out = tmp_path / "inst.jsonl"
     assert run("instability", "--h", "2", "--seed", "1", "--n", "2000",

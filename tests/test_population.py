@@ -5,18 +5,24 @@ own run gives: the last log2 capital of its ``walk`` and both estimates of
 ``window_exponents``, compared as bytes.
 """
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galelab.analysis import estimate_predim_upper
+from galelab.analysis import SweepBudget, _sample_gambler, estimate_predim_upper
 from galelab.constructions import (
     build_parity_gambler,
     single_minded_gambler,
     uniform_gambler,
 )
 from galelab.engine import (
+    _TABLE_ENTRIES,
     CHUNK,
     WINDOW_FRAC,
+    _population_tables,
     compile_gambler,
     run_martingale,
     walk,
@@ -54,6 +60,20 @@ def mixed_population():
     """Random gamblers with 1 to 4 heads and both parity winners (2 and 3 heads)."""
     return ([random_valid_gambler(seed, h) for h in (1, 2, 3, 4) for seed in range(15)]
             + [build_parity_gambler(1), build_parity_gambler(2)])
+
+
+def one_of_each_head_count():
+    """One random gambler with each of 1 to 4 heads: few rows, so long blocks."""
+    return [random_valid_gambler(seed, h) for seed, h in ((1, 1), (2, 2), (3, 3), (4, 4))]
+
+
+def wide_population():
+    """Enough 4-head gamblers that two-step tables would overflow the budget."""
+    return [random_valid_gambler(seed, 4) for seed in range(120)]
+
+
+def stride(specs, src) -> int:
+    return _population_tables(iter(specs), src).stride
 
 
 def never_bankrupt(spec) -> bool:
@@ -134,3 +154,65 @@ def test_empty_population_and_empty_horizon():
     assert walk_population([], src, 0).labels == []
     with pytest.raises(ValueError, match="empty trace"):
         walk_population([uniform_gambler()], src, 0)
+
+
+# ---------------------------------------------------------------------------
+# the block walk: strides, padded tails and deaths inside a block
+# ---------------------------------------------------------------------------
+
+POPULATIONS = {  # name: (gamblers, the stride their tables allow)
+    "stride_1": (wide_population, 1),
+    "stride_2": (mixed_population, 2),
+    "stride_3_plus": (one_of_each_head_count, 3),
+}
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_populations_exercise_each_stride(name):
+    make, least = POPULATIONS[name]
+    got = stride(make(), prng_source(0))
+    assert got == least if least < 3 else got >= least
+
+
+def test_sweep_populations_fit_the_table_budget():
+    """The sweep's default budget: 500 sampled gamblers and the planted winner."""
+    for h, expected in ((1, 3), (2, 2)):
+        rng = random.Random(5)
+        specs = [_sample_gambler(rng, h, 2, SweepBudget(seed=5), f"s{i}") for i in range(500)]
+        tables = _population_tables(specs + [build_parity_gambler(h)], prng_source(0))
+        assert tables.stride == expected
+        assert tables.jump.size + tables.step_logs.size <= _TABLE_ENTRIES
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_all_in_run_alive_at_a_padded_tail(name):
+    """All-in on 1 over all ones doubles every step and would die on the
+    code 0 that pads a last block: it must end alive at n bits."""
+    specs = POPULATIONS[name][0]() + [single_minded_gambler(1)]
+    src = constant_source(1)
+    b = stride(specs, src)
+    for n in sorted({b * 7 + 1, CHUNK - 1, CHUNK + 1}):
+        run = assert_population_matches(specs, src, n)
+        assert run.log2_final[-1] == n and run.liminf_est[-1] == 1.0
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_bankrupt_at_each_step_of_a_block(name):
+    """All-in on 0 over zeros with one 1: it dies at each offset in a block."""
+    specs = POPULATIONS[name][0]() + [single_minded_gambler(0)] * 2
+    b = stride(specs, prng_source(0))
+    n = 2 * CHUNK + 3 * b + 2
+    for death in range(CHUNK - b, CHUNK + b):
+        bits = [0] * n
+        bits[death] = 1
+        run = assert_population_matches(specs, array_source(bits), n)
+        assert np.all(run.log2_final[-2:] == float("-inf"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(members=st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 4)),
+                        min_size=1, max_size=12),
+       n=st.integers(1, 3 * CHUNK), seed=st.integers(0, 50), h=st.integers(1, 3))
+def test_random_mixed_populations_match_single_runs(members, n, seed, h):
+    specs = [random_valid_gambler(s, heads) for s, heads in members]
+    assert_population_matches(specs, f_family(h, "F", prng_source(seed)), n)
