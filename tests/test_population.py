@@ -72,8 +72,11 @@ def wide_population():
     return [random_valid_gambler(seed, 4) for seed in range(120)]
 
 
-def stride(specs, src) -> int:
-    return _population_tables(iter(specs), src).stride
+def assert_stride(specs, src, least) -> int:
+    """The stride of the population's tables: ``least``, or at least 3."""
+    got = _population_tables(iter(specs), src).stride
+    assert got == least if least < 3 else got >= least
+    return got
 
 
 def never_bankrupt(spec) -> bool:
@@ -167,13 +170,6 @@ POPULATIONS = {  # name: (gamblers, the stride their tables allow)
 }
 
 
-@pytest.mark.parametrize("name", POPULATIONS)
-def test_populations_exercise_each_stride(name):
-    make, least = POPULATIONS[name]
-    got = stride(make(), prng_source(0))
-    assert got == least if least < 3 else got >= least
-
-
 def test_sweep_populations_fit_the_table_budget():
     """The sweep's default budget: 500 sampled gamblers and the planted winner."""
     for h, expected in ((1, 3), (2, 2)):
@@ -188,9 +184,9 @@ def test_sweep_populations_fit_the_table_budget():
 def test_all_in_run_alive_at_a_padded_tail(name):
     """All-in on 1 over all ones doubles every step and would die on the
     code 0 that pads a last block: it must end alive at n bits."""
-    specs = POPULATIONS[name][0]() + [single_minded_gambler(1)]
-    src = constant_source(1)
-    b = stride(specs, src)
+    make, least = POPULATIONS[name]
+    specs, src = make() + [single_minded_gambler(1)], constant_source(1)
+    b = assert_stride(specs, src, least)
     for n in sorted({b * 7 + 1, CHUNK - 1, CHUNK + 1}):
         run = assert_population_matches(specs, src, n)
         assert run.log2_final[-1] == n and run.liminf_est[-1] == 1.0
@@ -199,8 +195,9 @@ def test_all_in_run_alive_at_a_padded_tail(name):
 @pytest.mark.parametrize("name", POPULATIONS)
 def test_bankrupt_at_each_step_of_a_block(name):
     """All-in on 0 over zeros with one 1: it dies at each offset in a block."""
-    specs = POPULATIONS[name][0]() + [single_minded_gambler(0)] * 2
-    b = stride(specs, prng_source(0))
+    make, least = POPULATIONS[name]
+    specs = make() + [single_minded_gambler(0)] * 2
+    b = assert_stride(specs, prng_source(0), least)
     n = 2 * CHUNK + 3 * b + 2
     for death in range(CHUNK - b, CHUNK + b):
         bits = [0] * n
