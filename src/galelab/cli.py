@@ -34,9 +34,14 @@ _FAMILIES = ("F", "Fprime", "Fdoubleprime")
 _REQUIRED = object()
 
 # the least value of each bounded integer option, as a flag or a config
-# entry: horizons and counts may be 0, search budgets must be positive
+# entry: horizons and counts may be 0, search budgets must be positive,
+# and a report's growth exponents need at least one step.  A (command,
+# option) entry wins over the option's own.
 _LEAST = {"n": 0, "n_max": 0, "depth": 0, "samples": 0,
-          "max_t": 1, "max_q": 1, "bet_denom": 1}
+          "max_t": 1, "max_q": 1, "bet_denom": 1,
+          ("sweep", "n"): 1, ("instability", "n"): 1, ("estimate-dim", "n"): 1}
+# the greatest: ``engine.check_martingale_property`` refuses deeper trees
+_MOST = {"depth": 20}
 
 
 class _UsageError(Exception):
@@ -79,8 +84,8 @@ class _Options:
 
     def integer(self, name: str, default=_REQUIRED) -> int:
         """An integer option: an int, an integral float (a JSON ``1e5``) or
-        a decimal string; a boolean, a fractional float or a value below
-        the option's ``_LEAST`` is refused."""
+        a decimal string; a boolean, a fractional float or a value outside
+        the option's ``_LEAST`` and ``_MOST`` is refused."""
         value, flag = self(name, default), "--" + name.replace("_", "-")
         try:
             number = int(value)
@@ -89,8 +94,11 @@ class _Options:
         if (number is None or isinstance(value, bool)
                 or isinstance(value, float) and number != value):
             raise _UsageError(f"bad integer for {flag}: {value!r}")
-        if number < _LEAST.get(name, number):
-            raise _UsageError(f"{flag} must be at least {_LEAST[name]}, not {number}")
+        least = _LEAST.get((self.args.command, name), _LEAST.get(name, number))
+        if number < least:
+            raise _UsageError(f"{flag} must be at least {least}, not {number}")
+        if number > _MOST.get(name, number):
+            raise _UsageError(f"{flag} must be at most {_MOST[name]}, not {number}")
         return number
 
     def out(self):
@@ -174,7 +182,7 @@ def _read_gambler(ref: str) -> core.GamblerSpec:
 def _valid(spec: core.GamblerSpec, what: str) -> core.GamblerSpec:
     report = core.validate_gambler(spec)
     if not report.ok:
-        raise ValueError(f"{what}: " + "; ".join(str(v) for v in report))
+        raise ValueError(f"{what}: {report}")
     return spec
 
 
@@ -245,8 +253,10 @@ def _cmd_simulate(opt: _Options) -> int:
     config = {"command": "simulate", "gambler": gambler_ref,
               "seq": str(seq_path), "n": n, "mode": mode,
               "sgale": [str(s) for s in sgales], "out": str(out)}
-    _echo(config)
+    # run before the echo, so that a horizon or an alphabet the run
+    # refuses is refused before anything is printed
     trace = engine.run_martingale(spec, src, n, mode=mode)
+    _echo(config)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         engine.write_trajectory_csv(trace, fh, s_values, config=config)
     final = trace.final_capital.bits
@@ -301,6 +311,8 @@ def _cmd_verify(opt: _Options) -> int:
 def _cmd_sweep(opt: _Options) -> int:
     h = opt.integer("h")
     out = opt.out()
+    if h < 1:  # as ``f_family`` refuses it, also for a --seq file
+        raise ValueError("h must be at least 1")
     if opt("seq", None):
         src, n = _load_sequence(opt)
     else:

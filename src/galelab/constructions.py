@@ -366,10 +366,10 @@ class AveragingAudit:
     earliest violation.  The two bounds are decided on ``log2_fraction``
     of those rationals, in float: a margin counts only when it clears
     ``LOG2_SLACK`` (2**-40) times its scale, the sum of ``1 + |term|``
-    over its log2 terms (``n`` times for the loss exponent).  A margin
-    within that slack, and a zero capital, are decided exactly by
-    ``frac_geq_product`` / ``geq_pow2_scaled``.  ``first_*`` fields hold
-    the earliest violating step (1-based prefix length) or ``None``.
+    over its log2 terms (``n`` times for the loss exponent).  A zero
+    capital is decided directly, and a margin within that slack exactly
+    by ``frac_geq_product`` / ``geq_pow2_scaled``.  ``first_*`` fields
+    hold the earliest violating step (1-based prefix length) or ``None``.
     """
 
     eps: Fraction
@@ -437,6 +437,15 @@ def averaging_audit(
     at ``sum_bound_start``; the log2 columns hold each value until the
     next move.  The engine route is compared on interned factors, at
     every step before the combined capital reaches 0.
+
+    The certified float margin (``LOG2_SLACK``, ``_decided``) is the only
+    screen in front of the exact comparisons, which multiply out in full.
+    It is the one that pays: deciding every bound exactly makes a pair of
+    1e4-step audits of the variant winners several times slower.
+    Only a near-tie reaches ``frac_geq_product`` or ``geq_pow2_scaled``,
+    and there the two sides' log2 values agree to within ``LOG2_SLACK``
+    of the margin's scale, so a second screen on bit lengths would
+    almost never decide.
     """
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)

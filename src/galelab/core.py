@@ -120,62 +120,32 @@ def _log2_ratio(num: int, den: int) -> float:
 
 
 def frac_geq_product(x: Fraction, a_num: int, a_den: int, y: Fraction) -> bool:
-    """Decide ``x >= (a_num/a_den) * y`` exactly for non-negative operands.
+    """Decide ``x >= (a_num/a_den) * y`` exactly for non-negative operands
+    and ``a_den > 0``, by one cross-multiplied integer comparison.
 
-    Uses a bit-length screen so that only near-ties pay for the full
-    big-integer products; the outcome is exact either way.
+    Nothing is screened here: a caller that decides most comparisons
+    cheaply (as ``constructions.averaging_audit`` does on certified log2
+    margins) sends only its near-ties.
     """
-    if y == 0 or a_num == 0:
-        return True
-    if x == 0:
-        return False
-    lhs_bits = (x.numerator.bit_length() + a_den.bit_length()
-                + y.denominator.bit_length())
-    rhs_bits = (a_num.bit_length() + y.numerator.bit_length()
-                + x.denominator.bit_length())
-    if lhs_bits - 3 >= rhs_bits:
-        return True
-    if rhs_bits - 3 >= lhs_bits:
-        return False
     return (x.numerator * a_den * y.denominator
             >= a_num * y.numerator * x.denominator)
 
 
 def geq_pow2_scaled(x: Fraction, y: Fraction, shift_num: int, shift_den: int) -> bool:
-    """Decide ``x >= 2**(shift_num/shift_den) * y`` exactly.
+    """Decide ``x >= 2**(shift_num/shift_den) * y`` exactly for
+    non-negative ``x`` and ``y``.
 
-    ``shift_num`` may be negative; ``shift_den`` must be positive.  For
-    positive rationals the comparison is equivalent to the integer test
-    ``x**shift_den * 2**(-shift_num) >= y**shift_den`` (with the power of
-    two moved to whichever side keeps exponents non-negative), which is
-    decided with a bit-length screen before falling back to big-integer
-    powers.
+    ``shift_num`` may be negative; ``shift_den`` must be positive.  With
+    ``d = shift_den`` the comparison is the integer test
+    ``x**d * 2**(-shift_num) >= y**d``, cleared of denominators and with
+    the power of two on whichever side keeps its exponent non-negative.
+    Nothing is screened here; callers screen, as for ``frac_geq_product``.
     """
     if shift_den <= 0:
         raise ValueError("shift_den must be positive")
-    if y == 0:
-        return True
-    if x == 0:
-        return False
-    d = shift_den
-    # x^d * 2^e_lhs >= y^d * 2^e_rhs with one of e_lhs, e_rhs zero
-    e_lhs = -shift_num if shift_num < 0 else 0
-    e_rhs = shift_num if shift_num > 0 else 0
-    lhs_min = (d * (x.numerator.bit_length() - 1)
-               - d * x.denominator.bit_length() + e_lhs)
-    lhs_max = (d * x.numerator.bit_length()
-               - d * (x.denominator.bit_length() - 1) + e_lhs)
-    rhs_min = (d * (y.numerator.bit_length() - 1)
-               - d * y.denominator.bit_length() + e_rhs)
-    rhs_max = (d * y.numerator.bit_length()
-               - d * (y.denominator.bit_length() - 1) + e_rhs)
-    if lhs_min >= rhs_max:
-        return True
-    if rhs_min > lhs_max:
-        return False
-    lhs = x.numerator ** d * y.denominator ** d << e_lhs
-    rhs = y.numerator ** d * x.denominator ** d << e_rhs
-    return lhs >= rhs
+    d, s = shift_den, shift_num
+    return (x.numerator ** d * y.denominator ** d << max(-s, 0)
+            >= y.numerator ** d * x.denominator ** d << max(s, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +312,11 @@ class ValidationReport:
     def __len__(self) -> int:
         return len(self.violations)
 
+    def __str__(self) -> str:
+        return "; ".join(str(v) for v in self.violations)
+
     def __repr__(self) -> str:
-        if self.ok:
-            return "ValidationReport(ok)"
-        lines = "; ".join(str(v) for v in self.violations)
-        return f"ValidationReport({lines})"
+        return f"ValidationReport({'ok' if self.ok else self})"
 
 
 def validate_gambler(spec: GamblerSpec) -> ValidationReport:

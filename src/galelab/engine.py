@@ -73,7 +73,9 @@ __all__ = [
 ]
 
 # full per-step traces up to this many steps; beyond it, capital is
-# recorded on a subsampled grid (memory guard), and exact mode refuses
+# recorded on a subsampled grid, and exact mode refuses.  The cap bounds
+# the retained trace and the CSV's rows, not the walk: ``walk`` holds
+# the whole run before ``run_martingale`` subsamples it
 TRACE_CAP = 1_000_000
 
 # rows per block of a trajectory CSV: a block's columns are formatted
@@ -324,8 +326,7 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
     """Validate a gambler and flatten it; an invalid one raises ``ValueError``."""
     report = validate_gambler(spec)
     if not report.ok:
-        raise ValueError(f"invalid gambler {spec.label()}: "
-                         + "; ".join(str(v) for v in report))
+        raise ValueError(f"invalid gambler {spec.label()}: {report}")
     k = spec.k
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
     factors = [[k * w for w in bets.weights] for bets in bet_rows]
@@ -657,12 +658,14 @@ def run_martingale(spec: GamblerSpec, source: SequenceSource, n: int,
 
     The final capital is the martingale value of the scanned prefix.  Up
     to ``TRACE_CAP`` steps the trace's rows are the walk's own arrays;
-    beyond it they are a subsampled copy.  Log2 mode stores base-2 logs
-    and is the default for long runs; bankruptcy is the absorbing
-    ``-inf``.  In exact mode the final capital is an exact rational, read
-    off the walk's visit counts as one product of powers; the per-step
-    capitals, which :meth:`RunTrace.exact_capitals` multiplies out one at
-    a time, are computed only when asked for.  Exact capitals grow to
+    beyond it they are a subsampled copy.  The cap bounds what the trace
+    keeps and the CSV rows written from it, not the peak: the whole walk,
+    17 bytes per step, is held before it is subsampled.  Log2 mode stores
+    base-2 logs and is the default for long runs; bankruptcy is the
+    absorbing ``-inf``.  In exact mode the final capital is an exact
+    rational, read off the walk's visit counts as one product of powers;
+    the per-step capitals, which :meth:`RunTrace.exact_capitals`
+    multiplies out one at a time, are computed only when asked for.  Exact capitals grow to
     Theta(n) bits, so the per-step ones take time quadratic in ``n``, and
     exact mode refuses more than ``TRACE_CAP`` steps.  An invalid gambler,
     an unknown mode or such a horizon raises ``ValueError``.

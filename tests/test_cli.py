@@ -203,6 +203,24 @@ def test_instability_refuses_h_below_2_before_echoing(tmp_path, capsys, h):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("h", ["0", "-1"])
+@pytest.mark.parametrize("seq", [False, True])
+def test_sweep_refuses_h_below_1_before_echoing(tmp_path, capsys, h, seq):
+    argv = ["--n", "100"]
+    if seq:  # no source is built from h, so it once failed in a sampled gambler
+        argv = ["--seq", str(tmp_path / "y.seq")]
+        run("gen-seq", "--variant", "F", "--h", "1", "--seed", "1",
+            "--n", "100", "--out", argv[1])
+        capsys.readouterr()
+    out = tmp_path / "s.jsonl"
+    assert run("sweep", "--h", h, "--samples", "2", *argv,
+               "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation failure: h must be at least 1\n"
+    assert not out.exists()
+
+
 def test_instability_command(tmp_path):
     out = tmp_path / "inst.jsonl"
     assert run("instability", "--h", "2", "--seed", "1", "--n", "2000",
@@ -429,9 +447,11 @@ def test_n_beyond_the_sequence_file_is_refused_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
-# A negative horizon or count, or an empty search budget, for which each
-# command would die on an uncaught error, report a check as holding, or
-# write an empty report.
+# A negative horizon or count, an empty search budget, a report over no
+# steps or a martingale tree too deep to enumerate, for which each command
+# would die on an uncaught error, report a check as holding, write an
+# empty report or fail after echoing its config.  The last column is the
+# bound: the least value for a value below it, else the greatest.
 OUT_OF_RANGE = [
     (("gen-seq", "--variant", "F", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -5, 0),
     (("simulate", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"), "--n", -5, 0),
@@ -442,18 +462,26 @@ OUT_OF_RANGE = [
     (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--max-t", 0, 1),
     (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--max-q", 0, 1),
     (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--bet-denom", 0, 1),
-    (("sweep", "--h", "1", "--samples", "2", "--out", "OUT"), "--n", -1, 0),
-    (("instability", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -1, 0),
+    (("sweep", "--h", "1", "--samples", "2", "--out", "OUT"), "--n", -1, 1),
+    (("instability", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -1, 1),
     (("estimate-dim", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"),
-     "--n", -1, 0),
+     "--n", -1, 1),
+    # a report over no steps once echoed its config, then failed on an empty trace
+    (("sweep", "--h", "2", "--samples", "2", "--out", "OUT"), "--n", 0, 1),
+    (("sweep", "--seq", "SEQ", "--h", "1", "--samples", "2", "--out", "OUT"), "--n", 0, 1),
+    (("instability", "--h", "3", "--seed", "1", "--out", "OUT"), "--n", 0, 1),
+    (("estimate-dim", "--seq", "SEQ", "--gambler", "parity:h=2", "--out", "OUT"),
+     "--n", 0, 1),
+    # once echoed, then refused inside the check
+    (("verify", "--gambler", "parity:h=2", "--check", "martingale"), "--depth", 21, 20),
 ]
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
-@pytest.mark.parametrize("argv, flag, value, least", OUT_OF_RANGE,
+@pytest.mark.parametrize("argv, flag, value, bound", OUT_OF_RANGE,
                          ids=[" ".join(case[0][:3]) + f" {case[1]}" for case in OUT_OF_RANGE])
 def test_out_of_range_integer_exits_64_before_any_output(tmp_path, capsys, argv, flag,
-                                                         value, least, via):
+                                                         value, bound, via):
     seq = tmp_path / "y.seq"
     assert run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
                "--n", "100", "--out", str(seq)) == 0
@@ -469,6 +497,7 @@ def test_out_of_range_integer_exits_64_before_any_output(tmp_path, capsys, argv,
     assert run(*argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
+    side = "least" if value < bound else "most"
     assert captured.err.startswith(
-        f"usage error: {flag} must be at least {least}, not {value}\n")
+        f"usage error: {flag} must be at {side} {bound}, not {value}\n")
     assert sorted(tmp_path.iterdir()) == before

@@ -255,9 +255,12 @@ def test_exact_mode_refuses_horizons_beyond_the_trace_cap(monkeypatch, tmp_path,
     monkeypatch.chdir(tmp_path)
     assert cli.main(["gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
                      "--n", "101", "--out", "y.seq"]) == 0
+    capsys.readouterr()
     assert cli.main(["simulate", "--gambler", "parity:h=2", "--seq", "y.seq",
                      "--mode", "exact", "--out", "t.csv"]) == cli.EXIT_VALIDATION
-    assert "exact mode runs at most 100 steps" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the config is echoed
+    assert "exact mode runs at most 100 steps" in captured.err
     assert not (tmp_path / "t.csv").exists()
 
 
