@@ -35,11 +35,12 @@ _REQUIRED = object()
 
 # the least value of each bounded integer option, as a flag or a config
 # entry: horizons and counts may be 0, search budgets must be positive,
-# and a report's growth exponents need at least one step.  A (command,
-# option) entry wins over the option's own.
+# and a report's growth exponents and a verdict over a horizon need at
+# least one step.  A (command, option) entry wins over the option's own.
 _LEAST = {"n": 0, "n_max": 0, "depth": 0, "samples": 0,
           "max_t": 1, "max_q": 1, "bet_denom": 1,
-          ("sweep", "n"): 1, ("instability", "n"): 1, ("estimate-dim", "n"): 1}
+          ("sweep", "n"): 1, ("instability", "n"): 1, ("estimate-dim", "n"): 1,
+          ("verify", "n"): 1, ("verify", "n_max"): 1}
 # the greatest: ``engine.check_martingale_property`` refuses deeper trees
 _MOST = {"depth": 20}
 

@@ -15,12 +15,13 @@ gale ``k**((s-1)*n) * d(w)``, sliding-window growth-exponent estimates
 fair-betting identity over all short strings, and exact positional-cycle
 analysis (head speeds and the position-deviation bound).
 
-A single run is one :func:`walk` of a compiled gambler, in which only
-the betting-state recurrence is serial.  A population of gamblers over
-one source is one :func:`walk_population`, which moves every live
-gambler a block of steps at a time with one array gather into jump
-tables of a fixed size.  Distinct runs over shared immutable sources may
-execute concurrently.
+Both walks move ``B`` steps per serial iteration through jump tables
+that one builder, :func:`_jump_tables`, makes to a fixed size.  A single
+run is one :func:`walk` of a compiled gambler, a Python list lookup per
+block; a population of gamblers over one source is one
+:func:`walk_population`, one array gather per block for every live
+gambler.  Distinct runs over shared immutable sources may execute
+concurrently.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ WINDOW_FRAC = 0.1
 # or float64 array
 CHUNK = 256
 
-# entries of a population walk's jump and log tables together, as many
+# entries of a walk's jump table and per-step tables together, as many
 # as one chunk of 500 gamblers: 1 MB at 8 bytes each
 _TABLE_ENTRIES = 2**17
 
-# elements per log-term gather of a single walk: its index arrays stay
-# at 32 KB however long the run
+# steps per gather of a single walk's codes and log terms: its index
+# arrays stay at 32 KB however long the run
 GATHER = 4096
 
 # nodes per level block of the fair-betting check: a block's states and
@@ -355,29 +356,128 @@ def _check_alphabet(source: SequenceSource, k: int) -> None:
         raise ValueError(f"source alphabet size {source.alphabet_size} != gambler's {k}")
 
 
+class _Jumps(NamedTuple):
+    """``stride``-step jump tables over one-step tables (see
+    :func:`_jump_tables`): from the row at offset ``r`` the block of codes
+    ``v`` leads to the row at ``jump[r + v]``, and its step ``j`` reads the
+    one-step entry ``reads[j, r + v]``, a row's one-step offset plus that
+    step's code.  ``moved[o]`` is the jump-table offset of the row at
+    one-step offset ``o``."""
+
+    stride: int
+    jump: np.ndarray
+    reads: np.ndarray
+    moved: np.ndarray
+
+
+def _jump_tables(nxt: np.ndarray, widths: np.ndarray) -> _Jumps:
+    """Jump tables over the one-step table ``nxt``, whose rows, the last of
+    them absorbing, are ``widths[i]`` codes wide and follow each other:
+    ``nxt[o + c]`` is the one-step offset of the row that code ``c`` leads
+    to from the row at offset ``o``.
+
+    The stride ``B`` is the largest whose jump table and ``B`` per-step
+    tables, ``B + 1`` arrays of ``sum(w**B)`` entries over the rows, fit in
+    ``_TABLE_ENTRIES``, and 1 when even two-step tables do not.  The entry
+    at ``v = sum(c_j * w**j)`` of a row walks its ``B`` codes ``c_j`` in
+    one-step tables, all entries at once.
+    """
+    counts, stride = Counter(widths.tolist()), 1
+    while stride < CHUNK and (stride + 2) * sum(
+            c * w ** (stride + 1) for w, c in counts.items()) <= _TABLE_ENTRIES:
+        stride += 1
+    rows, sizes = np.cumsum(widths) - widths, widths ** stride
+    offsets = np.cumsum(sizes) - sizes
+    moved = np.zeros(len(nxt), dtype=np.int64)
+    moved[rows] = offsets
+    at, w = np.repeat(rows, sizes), np.repeat(widths, sizes)  # each entry's row
+    block = np.arange(len(at)) - np.repeat(offsets, sizes)
+    reads = np.empty((stride, len(at)), dtype=np.min_scalar_type(len(nxt)))
+    for into in reads:  # step j reads digit j of the block
+        block, code = np.divmod(block, w)
+        at += code
+        into[:] = at
+        at = nxt[at]
+    return _Jumps(stride, moved[at], reads, moved)
+
+
+class _WalkTables(NamedTuple):
+    """One gambler's :func:`_jump_tables`, as :func:`walk` reads them.
+
+    ``jump`` is a list whose values are the ``|Q| + 1`` row offsets
+    ``q * w**stride``, one shared int object each, with the absorbing row
+    ``bankrupt`` last; ``states[j, e]`` is the betting state that step
+    ``j`` of entry ``e`` leaves, ``|Q|`` in the absorbing row.
+    """
+
+    stride: int
+    jump: list[int]
+    states: np.ndarray
+    start: int
+    bankrupt: int
+
+
+def _walk_tables(g: CompiledGambler) -> _WalkTables:
+    rows, w = len(g.next_state), g.k ** g.head_count
+    nxt = np.array(g.next_state, dtype=np.int64).ravel()
+    nxt = np.append(np.where(nxt < 0, rows, nxt), np.full(w, rows)) * w
+    t = _jump_tables(nxt, np.full(rows + 1, w))
+    size = w ** t.stride
+    offsets = np.array([q * size for q in range(rows + 1)], dtype=object)
+    return _WalkTables(t.stride, offsets[t.jump // size].tolist(), t.reads // w,
+                       g.q0 * size, offsets[rows])
+
+
+def _walk_states(g: CompiledGambler, symbols: np.ndarray) -> np.ndarray:
+    """The betting state each step of a run over ``symbols`` leaves, up to
+    the bankrupting step, through the gambler's :func:`_walk_tables`.
+    The tables and the last chunk's codes are freed on return, before
+    :func:`walk` gathers its log terms."""
+    n, t = len(symbols), _walk_tables(g)
+    stride, jump, q = t.stride, t.jump, t.start
+    places = (g.k ** g.head_count) ** np.arange(stride)  # w**j for step j
+    states, end = np.empty(n, dtype=np.int64), n
+    span = stride * (GATHER // stride)
+    for m0 in range(0, n, span):
+        m1 = min(m0 + span, n)
+        codes = g.orbit.codes(symbols, m0, m1).ravel()
+        codes = np.append(codes, np.zeros(-len(codes) % stride, dtype=np.int64))
+        first = q  # the row before the chunk's first block
+        entries = codes.reshape(-1, stride) @ places  # each block's v
+        after = np.array([q := jump[q + v] for v in memoryview(entries)], dtype=np.int64)
+        entries[0] += first  # each block's entry q + v
+        entries[1:] += after[:-1]
+        for j, table in enumerate(t.states):
+            into = states[m0 + j:m1:stride]
+            into[:] = table[entries[:len(into)]]
+        if q == t.bankrupt:  # the first state in the absorbing row ends the run
+            dead = np.flatnonzero(states[m0:m1] == len(g.next_state))
+            end = m0 + int(dead[0]) if len(dead) else m1
+            break
+    return states[:end]
+
+
 def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     """Walk a compiled gambler over the first ``n`` symbols of ``source``.
 
-    A source over another alphabet raises ``ValueError``.  The scanned
-    codes are read off the orbit table ``GATHER`` steps at a time; only
-    the betting-state recurrence ``q = next_state[q][code]`` runs step by
-    step.  The log2 capitals are one sequential cumulative sum, so each
-    is the float a step-by-step running sum gives; the visit counts are
-    one ``bincount`` per gather of the log terms.
+    A source over another alphabet raises ``ValueError``.  The gambler's
+    betting states, plus an absorbing row for bankruptcy, are the rows of
+    the jump tables that :func:`walk_population` builds for a population,
+    with the same stride ``B``.  The scanned codes are read off the orbit
+    table ``GATHER`` steps at a time (a whole number of blocks, the last
+    one padded with code 0), and each block's ``B`` codes are one entry
+    ``v`` of a row: the only serial work is one list lookup per block,
+    ``q = jump[q + v]``.  The state each step leaves is then one gather
+    per step of a block, at the blocks' entries; bankruptcy is read off
+    the absorbing row once per gather of codes, and the run ends at the
+    bankrupting step, so padded steps are never counted.  The log2
+    capitals are one sequential cumulative sum, so each is the float a
+    step-by-step running sum gives; the visit counts are one
+    ``bincount`` per gather of the log terms.
     """
     _check_alphabet(source, g.k)
     symbols = source.prefix_array(n)
-    codes = chain.from_iterable(  # Python ints, converted as the walk reaches them
-        memoryview(g.orbit.codes(symbols, i, min(i + GATHER, n)).ravel())
-        for i in range(0, n, GATHER))
-    q, table, states = g.q0, g.next_state, array("q")
-    record = states.append
-    for code in codes:
-        record(q)
-        q = table[q][code]
-        if q < 0:
-            break
-    states = np.frombuffer(states, dtype=np.int64)
+    states = _walk_states(g, symbols)
     flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
     terms, counts = np.empty(len(states)), np.zeros(flat.size, dtype=np.int64)
     for i in range(0, len(states), GATHER):
@@ -459,25 +559,9 @@ def _population_tables(specs: Iterable[GamblerSpec], source: SequenceSource) -> 
     nxt = np.array(next_flat, dtype=np.int64)
     nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
     logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
-    counts, stride = Counter(row_widths), 1  # B + 1 tables of sum(w**B) entries
-    while stride < CHUNK and (stride + 2) * sum(
-            c * w ** (stride + 1) for w, c in counts.items()) <= _TABLE_ENTRIES:
-        stride += 1
-    widths = np.array(row_widths, dtype=np.int64)
-    rows, sizes = np.cumsum(widths) - widths, widths ** stride
-    offsets = np.cumsum(sizes) - sizes
-    moved = np.zeros(len(nxt), dtype=np.int64)  # a row's offset in the jump tables
-    moved[rows] = offsets
-    owner = np.repeat(np.arange(len(rows)), sizes)  # the row of each entry
-    block, at, w = np.arange(len(owner)) - offsets[owner], rows[owner], widths[owner]
-    step_logs = np.empty((stride, len(owner)))
-    for into in step_logs:  # step j reads digit j of the block
-        block, code = np.divmod(block, w)
-        at += code
-        np.take(logs, at, out=into)
-        at = nxt[at]
-    return _Tables(labels, stride, moved[at], step_logs,
-                   moved[np.array(start, dtype=np.int64)], np.array(init),
+    j = _jump_tables(nxt, np.array(row_widths, dtype=np.int64))
+    return _Tables(labels, j.stride, j.jump, np.take(logs, j.reads),
+                   j.moved[np.array(start, dtype=np.int64)], np.array(init),
                    [o for _, o, _ in orbits.values()], np.array(orbit_of, dtype=np.int64),
                    np.array([w for *_, w in orbits.values()], dtype=np.int64))
 
@@ -893,6 +977,21 @@ def _float_reprs(col: np.ndarray, template: str) -> list[str]:
     return texts[inverse].tolist()
 
 
+_THREE_DIGITS = [f"{i:03d}" for i in range(1000)]
+
+
+def _consecutive_texts(first: int, count: int) -> list[str]:
+    """``str(m)`` for ``m`` in ``range(first, first + count)``, ``m >= 0``:
+    below 1000 one ``str`` each, above it the text of ``m // 1000`` once
+    per thousand, joined to each of its three-digit suffixes."""
+    stop = first + count
+    texts = list(map(str, range(first, min(stop, 1000))))
+    for top in range(max(first, 1000) // 1000, -(-stop // 1000)):
+        low, high = max(first - top * 1000, 0), min(stop - top * 1000, 1000)
+        texts += map(str(top).__add__, _THREE_DIGITS[low:high])
+    return texts
+
+
 def write_trajectory_csv(trace: RunTrace, out: TextIO,
                          s_values: Sequence[tuple[str, Fraction]] = (),
                          config: dict | None = None) -> None:
@@ -916,6 +1015,8 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     for i in range(0, len(trace.steps), CSV_ROWS):
         lengths, block = trace.steps[i:i + CSV_ROWS] + 1, log2[i:i + CSV_ROWS]
         floats = [block] + [sgale_log2(block, lengths, s, k) for _, s in s_values]
-        columns = [map(str, lengths.tolist())]
+        consecutive = lengths[-1] - lengths[0] == len(lengths) - 1  # not subsampled
+        columns = [_consecutive_texts(int(lengths[0]), len(lengths)) if consecutive
+                   else map(str, lengths.tolist())]
         columns += map(_float_reprs, floats, templates)
         out.write("".join(chain.from_iterable(zip(*columns))))

@@ -455,8 +455,8 @@ def test_n_beyond_the_sequence_file_is_refused_before_any_work(tmp_path, capsys,
 OUT_OF_RANGE = [
     (("gen-seq", "--variant", "F", "--h", "2", "--seed", "1", "--out", "OUT"), "--n", -5, 0),
     (("simulate", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"), "--n", -5, 0),
-    (("verify", "--check", "parity", "--h", "2"), "--n", -4, 0),
-    (("verify", "--check", "speeds", "--gambler", "parity:h=2"), "--n-max", -4, 0),
+    (("verify", "--check", "parity", "--h", "2"), "--n", -4, 1),
+    (("verify", "--check", "speeds", "--gambler", "parity:h=2"), "--n-max", -4, 1),
     (("verify", "--check", "martingale", "--gambler", "parity:h=2"), "--depth", -1, 0),
     (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--samples", -2, 0),
     (("sweep", "--h", "1", "--n", "100", "--out", "OUT"), "--max-t", 0, 1),
@@ -472,6 +472,9 @@ OUT_OF_RANGE = [
     (("instability", "--h", "3", "--seed", "1", "--out", "OUT"), "--n", 0, 1),
     (("estimate-dim", "--seq", "SEQ", "--gambler", "parity:h=2", "--out", "OUT"),
      "--n", 0, 1),
+    # a verdict over no steps once checked nothing and passed
+    (("verify", "--h", "2", "--check", "parity"), "--n", 0, 1),
+    (("verify", "--gambler", "parity:h=2", "--check", "speeds"), "--n-max", 0, 1),
     # once echoed, then refused inside the check
     (("verify", "--gambler", "parity:h=2", "--check", "martingale"), "--depth", 21, 20),
 ]

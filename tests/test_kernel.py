@@ -9,11 +9,17 @@ The kernel must match it exactly: the same betting states, which the
 scanned codes decide, and bit-identical log2 capitals.
 """
 
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import galelab.engine as engine
+from galelab.analysis import SweepBudget, _sample_gambler
 from galelab.core import (
     BANKRUPT_LOG2,
     Alphabet,
@@ -24,8 +30,16 @@ from galelab.core import (
     encode_symbol_vector,
     log2_fraction,
 )
-from galelab.constructions import build_parity_gambler, single_minded_gambler
+from galelab.constructions import (
+    average_gamblers,
+    build_parity_gambler,
+    build_variant_gambler,
+    single_minded_gambler,
+    uniform_gambler,
+)
 from galelab.engine import (
+    _population_tables,
+    _walk_tables,
     check_speed_bounds,
     compile_gambler,
     measure_speeds,
@@ -34,7 +48,12 @@ from galelab.engine import (
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
-from gamblers import overbetting_gambler, random_valid_gambler
+from gamblers import (
+    array_source,
+    overbetting_gambler,
+    random_valid_gambler,
+    two_state_swing_gambler,
+)
 
 
 def reference_walk(spec: GamblerSpec, buf, n: int):
@@ -63,12 +82,18 @@ def reference_walk(spec: GamblerSpec, buf, n: int):
 
 
 def assert_walk_matches(spec, source, n):
+    """``walk`` against the reference in states, symbols and log2 bytes,
+    and its ``counts`` against a ``bincount`` of the reference's (state,
+    symbol) pairs; whether the run went bankrupt."""
     buf = source.prefix_array(n)
     states, caps = reference_walk(spec, buf, n)
     w = walk(compile_gambler(spec), source, n)
-    assert w.states.tolist() == states
+    assert w.states.dtype == np.int64 and w.states.tolist() == states
     assert w.symbols.tolist() == [int(b) for b in buf]
     assert w.log2.tobytes() == caps.tobytes()
+    pairs = np.array(states, dtype=np.int64) * spec.k + buf[:len(states)]
+    counts = np.bincount(pairs, minlength=len(spec.betting) * spec.k)
+    assert w.counts.tolist() == counts.reshape(-1, spec.k).tolist()
     return len(states) < n
 
 
@@ -135,6 +160,81 @@ def test_trace_columns_after_bankruptcy():
     assert trace.compiled.state_ids[trace.rows.states[0]] == "q0"
     assert trace.rows.states.tolist() == [0, -1, -1, -1, -1]
     assert np.all(trace.log2_capitals() == BANKRUPT_LOG2)
+
+
+# ---------------------------------------------------------------------------
+# the blocked walk: B steps per loop iteration, chunk edges and padded tails
+# ---------------------------------------------------------------------------
+
+# steps per gather of codes in these tests, so that runs of a few hundred
+# steps cross many gathers; it holds whole blocks of every stride below
+SMALL_GATHER = 48
+
+
+def stride_of(spec) -> int:
+    return _walk_tables(compile_gambler(spec)).stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), h=st.integers(1, 4), k=st.sampled_from([2, 3]),
+       data=st.data())
+def test_blocked_walk_matches_reference(seed, h, k, data):
+    """Random 1-4-head gamblers over two and three symbols, at every
+    horizon up to three gathers of codes of ``B`` blocks each."""
+    rng = random.Random(seed)
+    spec = _sample_gambler(rng, h, k, SweepBudget(max_t=3, max_q=4, bet_denominator_max=6),
+                           "g")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GATHER", SMALL_GATHER)
+        n = data.draw(st.integers(0, 3 * stride_of(spec) * SMALL_GATHER), label="n")
+        if k == 2:
+            source = f_family(h, "F", prng_source(seed))
+        else:
+            source = array_source([rng.randrange(3) for _ in range(n)], k=3)
+        assert_walk_matches(spec, source, n)
+
+
+@pytest.mark.parametrize("gather", [SMALL_GATHER, engine.GATHER])
+def test_blocked_walk_bankrupt_at_each_step_of_a_block(gather):
+    """All-in on 0 over zeros with one 1 at step ``death``: the run ends
+    at that step whether it is the first, the last or an inner step of a
+    block, and on either side of a gather's edge."""
+    spec = single_minded_gambler(0)
+    b = stride_of(spec)
+    span = b * (gather // b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GATHER", gather)
+        for death in range(span - b, span + b):
+            bits = [0] * (span + 2 * b)
+            bits[death] = 1
+            assert assert_walk_matches(spec, array_source(bits), len(bits))
+
+
+def test_blocked_walk_ignores_a_bankrupting_padded_tail():
+    """All-in on 1 over ones would die on the code 0 that pads a last
+    block: the run ends alive, doubled at every one of its ``n`` steps."""
+    spec = single_minded_gambler(1)
+    b = stride_of(spec)
+    for n in (1, b - 1, b + 1, 2 * engine.GATHER + 1):
+        assert n % b
+        assert not assert_walk_matches(spec, constant_source(1), n)
+        assert walk(compile_gambler(spec), constant_source(1), n).log2[-1] == n
+
+
+def test_walk_and_population_pick_the_same_stride():
+    fprime, fdoubleprime = (build_variant_gambler(2, v) for v in ("Fprime", "Fdoubleprime"))
+    averaged = average_gamblers(fprime, fdoubleprime, Fraction(1, 10))
+    specs = {"uniform": uniform_gambler(), "parity:h=2": build_parity_gambler(2),
+             "fprime:h=2": fprime, "fdoubleprime:h=2": fdoubleprime, "averaged": averaged}
+    # the strides the documentation quotes
+    want = {"uniform": 12, "parity:h=2": 3, "fprime:h=2": 5, "fdoubleprime:h=2": 5,
+            "averaged": 3}
+    assert {name: stride_of(spec) for name, spec in specs.items()} == want
+    others = [single_minded_gambler(0), two_state_swing_gambler(), build_parity_gambler(1),
+              build_parity_gambler(3)]
+    others += [random_valid_gambler(seed, h) for h in (1, 2, 3, 4) for seed in range(10)]
+    for spec in [*specs.values(), *others]:
+        assert stride_of(spec) == _population_tables([spec], prng_source(0)).stride
 
 
 # ---------------------------------------------------------------------------

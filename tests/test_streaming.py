@@ -141,6 +141,16 @@ def test_block_formatter_is_repr_of_every_value(pool, picks):
     assert engine._float_reprs(col, ",{!r}\n") == [f",{x!r}\n" for x in col.tolist()]
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(first=st.one_of(st.integers(0, 3000), st.integers(0, 10**12)),
+       count=st.integers(0, 2 * CSV_ROWS))
+def test_consecutive_lengths_are_their_str(first, count):
+    """The ``n`` column of a trace that is not subsampled: thousands
+    prefixes joined to three-digit suffixes, across every boundary."""
+    want = list(map(str, range(first, first + count)))
+    assert engine._consecutive_texts(first, count) == want
+
+
 def test_csv_writer_memory_is_flat_in_the_trace_length(tmp_path):
     n = 200_000
     trace = run_martingale(build_parity_gambler(2), f_family(2, "F", prng_source(4)), n)
