@@ -179,8 +179,9 @@ def stride_of(spec) -> int:
 @given(seed=st.integers(0, 2**32), h=st.integers(1, 4), k=st.sampled_from([2, 3]),
        data=st.data())
 def test_blocked_walk_matches_reference(seed, h, k, data):
-    """Random 1-4-head gamblers over two and three symbols, at every
-    horizon up to three gathers of codes of ``B`` blocks each."""
+    """Random 1-4-head gamblers over two and three symbols, at horizons
+    up to ``3 * B * GATHER`` steps, with ``GATHER`` shrunk so that they
+    cross many gathers of codes."""
     rng = random.Random(seed)
     spec = _sample_gambler(rng, h, k, SweepBudget(max_t=3, max_q=4, bet_denominator_max=6),
                            "g")
