@@ -245,6 +245,12 @@ def _sample_gambler(rng: random.Random, h: int, k: int,
     )
 
 
+def _best_id(records: Sequence[RunRecord]) -> str | None:
+    """The id of the first record with the greatest exponent, if any."""
+    best = max(records, key=lambda r: r.exponent, default=None)
+    return None if best is None else best.gambler_id
+
+
 @dataclass
 class SweepReport:
     """Outcome of sampling many gamblers against one sequence.
@@ -268,19 +274,11 @@ class SweepReport:
 
     @property
     def best_sampled_id(self) -> str | None:
-        best = None
-        for r in self.records:
-            if best is None or r.exponent > best.exponent:
-                best = r
-        return best.gambler_id if best else None
+        return _best_id(self.records)
 
     @property
     def best_overall_id(self) -> str | None:
-        best = None
-        for r in list(self.records) + list(self.included):
-            if best is None or r.exponent > best.exponent:
-                best = r
-        return best.gambler_id if best else None
+        return _best_id(self.records + self.included)
 
     def to_objs(self) -> list[dict]:
         out = [{

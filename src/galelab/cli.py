@@ -35,14 +35,16 @@ _REQUIRED = object()
 
 # the least value of each bounded integer option, as a flag or a config
 # entry: horizons and counts may be 0, search budgets must be positive,
-# and a report's growth exponents and a verdict over a horizon need at
-# least one step.  A (command, option) entry wins over the option's own.
+# a report's growth exponents and a verdict over a horizon need at least
+# one step, and a bit source's seed is a signed 64-bit integer.  A
+# (command, option) entry wins over the option's own.
 _LEAST = {"n": 0, "n_max": 0, "depth": 0, "samples": 0,
           "max_t": 1, "max_q": 1, "bet_denom": 1,
+          "seed": -2**63, "seq_seed": -2**63,
           ("sweep", "n"): 1, ("instability", "n"): 1, ("estimate-dim", "n"): 1,
           ("verify", "n"): 1, ("verify", "n_max"): 1}
 # the greatest: ``engine.check_martingale_property`` refuses deeper trees
-_MOST = {"depth": 20}
+_MOST = {"depth": 20, "seed": 2**63 - 1, "seq_seed": 2**63 - 1}
 
 
 class _UsageError(Exception):
@@ -344,8 +346,11 @@ def _cmd_instability(opt: _Options) -> int:
     h, seed, n = opt.integer("h"), opt.integer("seed"), opt.integer("n")
     eps = _fraction(opt("epsilon", "1/10"), "--epsilon")
     out = opt.out()
-    if h < 2:  # refused before the config is echoed, like any other bad input
+    # refused before the config is echoed, like any other bad input
+    if h < 2:
         raise ValueError("instability needs h >= 2 (two distinct variants)")
+    if not 0 < eps < 1:  # as ``constructions.average_gamblers`` refuses it
+        raise ValueError("eps must lie strictly between 0 and 1")
     _echo({"command": "instability", "h": h, "seed": seed, "n": n,
            "epsilon": str(eps), "out": str(out)})
     report = analysis.instability_experiment(h, seed, n, eps)

@@ -15,10 +15,11 @@ gale ``k**((s-1)*n) * d(w)``, sliding-window growth-exponent estimates
 fair-betting identity over all short strings, and exact positional-cycle
 analysis (head speeds and the position-deviation bound).
 
-Both walks move ``B`` steps per serial iteration through jump tables
-that one builder, :func:`_jump_tables`, makes to a fixed size.  A single
-run is one :func:`walk` of a compiled gambler, a Python list lookup per
-block; a population of gamblers over one source is one
+Both walks move ``B`` steps per serial iteration through the jump tables
+of one compiler, :func:`_tables`, which flattens compiled gamblers into
+one-step rows and one absorbing row, and sizes the tables to a fixed
+budget.  A single run is one :func:`walk` of a compiled gambler, a Python
+list lookup per block; a population of gamblers over one source is one
 :func:`walk_population`, one array gather per block for every live
 gambler.  Distinct runs over shared immutable sources may execute
 concurrently.
@@ -96,8 +97,8 @@ CHUNK = 256
 # as one chunk of 500 gamblers: 1 MB at 8 bytes each
 _TABLE_ENTRIES = 2**17
 
-# steps per gather of a single walk's codes and log terms: its index
-# arrays stay at 32 KB however long the run
+# steps per gather of a single walk's codes and entries: its code and
+# block arrays stay at 32 KB however long the run
 GATHER = 4096
 
 # nodes per level block of the fair-betting check: a block's states and
@@ -356,39 +357,59 @@ def _check_alphabet(source: SequenceSource, k: int) -> None:
         raise ValueError(f"source alphabet size {source.alphabet_size} != gambler's {k}")
 
 
-class _Jumps(NamedTuple):
-    """``stride``-step jump tables over one-step tables (see
-    :func:`_jump_tables`): from the row at offset ``r`` the block of codes
-    ``v`` leads to the row at ``jump[r + v]``, and its step ``j`` reads the
-    one-step entry ``reads[j, r + v]``, a row's one-step offset plus that
-    step's code.  ``moved[o]`` is the jump-table offset of the row at
-    one-step offset ``o``."""
+class _Tables(NamedTuple):
+    """Compiled gamblers as ``stride``-step jump tables (see :func:`_tables`):
+    from the row at offset ``r`` the block of codes ``v`` leads to the row
+    at ``jump[r + v]``, and its step ``j`` reads the one-step entry
+    ``reads[j, r + v]``, a row's one-step offset plus that step's code,
+    whose log2 term is ``logs[reads[j, r + v]]``.  Gambler ``i`` starts at
+    the row at offset ``start[i]``; the absorbing row is last, at one-step
+    offset ``bankrupt``."""
 
     stride: int
     jump: np.ndarray
     reads: np.ndarray
-    moved: np.ndarray
+    logs: np.ndarray
+    start: np.ndarray
+    bankrupt: int
 
 
-def _jump_tables(nxt: np.ndarray, widths: np.ndarray) -> _Jumps:
-    """Jump tables over the one-step table ``nxt``, whose rows, the last of
-    them absorbing, are ``widths[i]`` codes wide and follow each other:
-    ``nxt[o + c]`` is the one-step offset of the row that code ``c`` leads
-    to from the row at offset ``o``.
+def _tables(gamblers: Iterable[CompiledGambler]) -> _Tables:
+    """Compile ``gamblers``, drawn one at a time, into one set of jump tables.
 
-    The stride ``B`` is the largest whose jump table and ``B`` per-step
+    Each betting state is first a row of its ``w = k**h`` codes in one-step
+    tables: ``nxt[o + c]`` is the one-step offset of the row that code
+    ``c`` leads to from the row at offset ``o``, and ``logs[o + c]`` the log2
+    term of that step.  One absorbing row, as wide as the widest and with
+    ``-inf`` terms, follows them all and stands for bankruptcy.  The
+    stride ``B`` is the largest whose jump table and ``B`` per-step
     tables, ``B + 1`` arrays of ``sum(w**B)`` entries over the rows, fit in
     ``_TABLE_ENTRIES``, and 1 when even two-step tables do not.  The entry
     at ``v = sum(c_j * w**j)`` of a row walks its ``B`` codes ``c_j`` in
-    one-step tables, all entries at once.
+    the one-step tables, all entries at once; ``reads`` takes the smallest
+    unsigned dtype that holds the one-step offsets.
     """
-    counts, stride = Counter(widths.tolist()), 1
+    next_flat, log_flat, start, row_widths = array("q"), array("d"), array("q"), array("q")
+    for g in gamblers:
+        width, base = g.k ** g.head_count, len(next_flat)  # codes per betting state
+        for row in g.next_state:
+            next_flat.extend(-1 if t < 0 else base + t * width for t in row)
+        log_flat.extend(np.tile(g.log_rows, width // g.k).ravel().tolist())
+        row_widths.extend([width] * len(g.next_state))
+        start.append(base + g.q0 * width)
+    bankrupt, widest = len(next_flat), max(row_widths, default=1)
+    row_widths.append(widest)
+    nxt = np.array(next_flat, dtype=np.int64)
+    nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
+    logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
+    widths = np.array(row_widths, dtype=np.int64)
+    counts, stride = Counter(row_widths), 1
     while stride < CHUNK and (stride + 2) * sum(
             c * w ** (stride + 1) for w, c in counts.items()) <= _TABLE_ENTRIES:
         stride += 1
     rows, sizes = np.cumsum(widths) - widths, widths ** stride
     offsets = np.cumsum(sizes) - sizes
-    moved = np.zeros(len(nxt), dtype=np.int64)
+    moved = np.zeros(len(nxt), dtype=np.int64)  # jump-table offset of each row
     moved[rows] = offsets
     at, w = np.repeat(rows, sizes), np.repeat(widths, sizes)  # each entry's row
     block = np.arange(len(at)) - np.repeat(offsets, sizes)
@@ -398,98 +419,64 @@ def _jump_tables(nxt: np.ndarray, widths: np.ndarray) -> _Jumps:
         at += code
         into[:] = at
         at = nxt[at]
-    return _Jumps(stride, moved[at], reads, moved)
-
-
-class _WalkTables(NamedTuple):
-    """One gambler's :func:`_jump_tables`, as :func:`walk` reads them.
-
-    ``jump`` is a list whose values are the ``|Q| + 1`` row offsets
-    ``q * w**stride``, one shared int object each, with the absorbing row
-    ``bankrupt`` last; ``states[j, e]`` is the betting state that step
-    ``j`` of entry ``e`` leaves, ``|Q|`` in the absorbing row.
-    """
-
-    stride: int
-    jump: list[int]
-    states: np.ndarray
-    start: int
-    bankrupt: int
-
-
-def _walk_tables(g: CompiledGambler) -> _WalkTables:
-    rows, w = len(g.next_state), g.k ** g.head_count
-    nxt = np.array(g.next_state, dtype=np.int64).ravel()
-    nxt = np.append(np.where(nxt < 0, rows, nxt), np.full(w, rows)) * w
-    t = _jump_tables(nxt, np.full(rows + 1, w))
-    size = w ** t.stride
-    offsets = np.array([q * size for q in range(rows + 1)], dtype=object)
-    return _WalkTables(t.stride, offsets[t.jump // size].tolist(), t.reads // w,
-                       g.q0 * size, offsets[rows])
-
-
-def _walk_states(g: CompiledGambler, symbols: np.ndarray) -> np.ndarray:
-    """The betting state each step of a run over ``symbols`` leaves, up to
-    the bankrupting step, through the gambler's :func:`_walk_tables`.
-    The tables and the last chunk's codes are freed on return, before
-    :func:`walk` gathers its log terms."""
-    n, t = len(symbols), _walk_tables(g)
-    stride, jump, q = t.stride, t.jump, t.start
-    places = (g.k ** g.head_count) ** np.arange(stride)  # w**j for step j
-    states, end = np.empty(n, dtype=np.int64), n
-    span = stride * (GATHER // stride)
-    for m0 in range(0, n, span):
-        m1 = min(m0 + span, n)
-        codes = g.orbit.codes(symbols, m0, m1).ravel()
-        codes = np.append(codes, np.zeros(-len(codes) % stride, dtype=np.int64))
-        first = q  # the row before the chunk's first block
-        entries = codes.reshape(-1, stride) @ places  # each block's v
-        after = np.array([q := jump[q + v] for v in memoryview(entries)], dtype=np.int64)
-        entries[0] += first  # each block's entry q + v
-        entries[1:] += after[:-1]
-        for j, table in enumerate(t.states):
-            into = states[m0 + j:m1:stride]
-            into[:] = table[entries[:len(into)]]
-        if q == t.bankrupt:  # the first state in the absorbing row ends the run
-            dead = np.flatnonzero(states[m0:m1] == len(g.next_state))
-            end = m0 + int(dead[0]) if len(dead) else m1
-            break
-    return states[:end]
+    return _Tables(stride, moved[at], reads, logs,
+                   moved[np.array(start, dtype=np.int64)], bankrupt)
 
 
 def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     """Walk a compiled gambler over the first ``n`` symbols of ``source``.
 
     A source over another alphabet raises ``ValueError``.  The gambler's
-    betting states, plus an absorbing row for bankruptcy, are the rows of
-    the jump tables that :func:`walk_population` builds for a population,
-    with the same stride ``B``.  The scanned codes are read off the orbit
-    table ``GATHER`` steps at a time (a whole number of blocks, the last
-    one padded with code 0), and each block's ``B`` codes are one entry
-    ``v`` of a row: the only serial work is one list lookup per block,
-    ``q = jump[q + v]``.  The state each step leaves is then one gather
-    per step of a block, at the blocks' entries; bankruptcy is read off
-    the absorbing row once per gather of codes, and the run ends at the
-    bankrupting step, so padded steps are never counted.  The log2
-    capitals are one sequential cumulative sum, so each is the float a
-    step-by-step running sum gives; the visit counts are one
-    ``bincount`` per gather of the log terms.
+    :func:`_tables` are those of a population of one, with the stride
+    ``B`` that :func:`walk_population` would give it; the jump table is a
+    plain list whose values are the ``|Q| + 1`` row offsets, one shared
+    int object each.  The scanned codes are read off the orbit table
+    ``GATHER`` steps at a time (a whole number of blocks, the last one
+    padded with code 0), and each block's ``B`` codes are one entry ``v``
+    of a row: the only serial work is one list lookup per block,
+    ``q = jump[q + v]``.  The one-step entry each step reads is then one
+    gather per step of a block, at the blocks' entries; bankruptcy is
+    read off the absorbing row once per gather of codes, and the run ends
+    at the bankrupting step, so padded steps are never counted.  After
+    the loop the entries give everything else: the visit counts are one
+    ``bincount``, the log terms one gather whose sequential cumulative
+    sum makes each log2 capital the float a step-by-step running sum
+    gives, and the betting states the entries divided by ``w = k**h``.
     """
     _check_alphabet(source, g.k)
     symbols = source.prefix_array(n)
-    states = _walk_states(g, symbols)
-    flat = g.log_rows.ravel()  # log_rows[q, s] is flat[q * k + s]
-    terms, counts = np.empty(len(states)), np.zeros(flat.size, dtype=np.int64)
-    for i in range(0, len(states), GATHER):
-        j = min(i + GATHER, len(states))
-        index = states[i:j] * g.k + symbols[i:j]
-        terms[i:j] = flat[index]
-        counts += np.bincount(index, minlength=flat.size)
+    t, rows, w = _tables([g]), len(g.next_state), g.k ** g.head_count
+    stride, size = t.stride, w ** t.stride
+    offsets = np.array([q * size for q in range(rows + 1)], dtype=object)
+    jump, q = offsets[t.jump // size].tolist(), offsets[g.q0]
+    places = w ** np.arange(stride)  # w**j for step j
+    entries, end = np.empty(n, dtype=np.int64), n
+    span = stride * (GATHER // stride)
+    for m0 in range(0, n, span):
+        m1 = min(m0 + span, n)
+        codes = g.orbit.codes(symbols, m0, m1).ravel()
+        codes = np.append(codes, np.zeros(-len(codes) % stride, dtype=np.int64))
+        first = q  # the row before the chunk's first block
+        blocks = codes.reshape(-1, stride) @ places  # each block's v
+        after = np.array([q := jump[q + v] for v in memoryview(blocks)], dtype=np.int64)
+        blocks[0] += first  # each block's entry q + v
+        blocks[1:] += after[:-1]
+        for j, table in enumerate(t.reads):
+            into = entries[m0 + j:m1:stride]
+            into[:] = table[blocks[:len(into)]]
+        if q == offsets[rows]:  # the first entry in the absorbing row ends the run
+            dead = np.flatnonzero(entries[m0:m1] >= t.bankrupt)
+            end = m0 + int(dead[0]) if len(dead) else m1
+            break
+    entries = entries[:end]
+    counts = np.bincount(entries, minlength=t.bankrupt).reshape(rows, -1, g.k).sum(1)
+    terms = np.take(t.logs, entries)
     terms[:1] += log2_fraction(g.initial)  # the running sum starts at log2(initial)
     log2 = np.cumsum(terms, out=terms)
-    if len(states) < n:
-        log2 = np.concatenate([log2, np.full(n - len(states), BANKRUPT_LOG2)])
-    return Walk(states, symbols, log2, counts.reshape(g.log_rows.shape))
+    if end < n:
+        log2 = np.concatenate([log2, np.full(n - end, BANKRUPT_LOG2)])
+    entries //= w  # each step's betting state
+    return Walk(entries, symbols, log2, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -507,83 +494,23 @@ class PopulationRun(NamedTuple):
     liminf_est: np.ndarray
 
 
-class _Tables(NamedTuple):
-    """A population as ``stride``-step jump tables (see
-    :func:`walk_population`): from the row at offset ``r`` the block of
-    codes ``v`` leads to the row at ``jump[r + v]``, and
-    ``step_logs[j, r + v]`` is the log2 term of its step ``j``.  Each
-    gambler's first row, log2 initial capital and row in ``orbits`` are
-    ``start``, ``init`` and ``orbit_of``; orbit ``o`` reads ``widths[o]``
-    codes per step."""
-
-    labels: list[str]
-    stride: int
-    jump: np.ndarray
-    step_logs: np.ndarray
-    start: np.ndarray
-    init: np.ndarray
-    orbits: list[_Orbits]
-    orbit_of: np.ndarray
-    widths: np.ndarray
-
-
-def _population_tables(specs: Iterable[GamblerSpec], source: SequenceSource) -> _Tables:
-    """Compile ``specs`` one at a time into one population's jump tables.
-
-    Each betting state is first a row of its ``w`` codes in one-step
-    tables, ``next_flat`` (offsets of the next rows) and ``log_flat``,
-    followed by the absorbing row.  Every entry of its ``w**stride`` in
-    the jump tables then walks ``stride`` steps of those, all at once.
-    """
-    k = source.alphabet_size
-    labels: list[str] = []
-    next_flat, log_flat, start, init = array("q"), array("d"), array("q"), array("d")
-    row_widths, orbit_of = array("q"), array("q")
-    orbits: dict[tuple, tuple[int, _Orbits, int]] = {}
-    for spec in specs:
-        g = compile_gambler(spec)
-        _check_alphabet(source, g.k)
-        width = k ** g.head_count  # codes per betting state
-        base = len(next_flat)
-        for row in g.next_state:
-            next_flat.extend(-1 if t < 0 else base + t * width for t in row)
-        log_flat.extend(np.tile(g.log_rows, width // k).ravel().tolist())
-        row_widths.extend([width] * len(g.next_state))
-        key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
-        orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit, width))[0])
-        start.append(base + g.q0 * width)
-        init.append(log2_fraction(g.initial))
-        labels.append(spec.label())
-    bankrupt, widest = len(next_flat), max(row_widths, default=k)
-    row_widths.append(widest)
-    nxt = np.array(next_flat, dtype=np.int64)
-    nxt = np.append(np.where(nxt < 0, bankrupt, nxt), np.full(widest, bankrupt))
-    logs = np.append(np.array(log_flat), np.full(widest, BANKRUPT_LOG2))
-    j = _jump_tables(nxt, np.array(row_widths, dtype=np.int64))
-    return _Tables(labels, j.stride, j.jump, np.take(logs, j.reads),
-                   j.moved[np.array(start, dtype=np.int64)], np.array(init),
-                   [o for _, o, _ in orbits.values()], np.array(orbit_of, dtype=np.int64),
-                   np.array([w for *_, w in orbits.values()], dtype=np.int64))
-
-
 def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
                     n: int) -> PopulationRun:
     """Walk many gamblers together over the first ``n`` symbols of a source.
 
     Each gambler is compiled as it is drawn from ``specs`` (an invalid one,
     or one over another alphabet, raises ``ValueError`` as a single run
-    does) and only its table rows and label are kept.  Every betting
-    state is a row of one flat jump table, and one shared absorbing row
-    stands for bankruptcy.  The walk moves ``B`` steps at a time: the row
-    of a state with ``w`` codes per step has one entry per block of ``B``
-    codes ``c_j``, at ``v = sum(c_j * w**j)``, holding the offset of the
-    row reached after them.  One block of the whole live population is
-    then one add and one gather, ``q = jump[q + v]``, and the log2 bet
-    terms of its steps are ``B`` gathers at the same indices, one in each
-    step's log table.  ``B`` is derived from the population: the largest
-    stride whose jump table and ``B`` log tables, ``B + 1`` arrays of
-    ``sum(w**B)`` entries over the rows, fit in ``_TABLE_ENTRIES`` (1 MB
-    at 8 bytes an entry), and 1 when even two-step tables do not.  The
+    does) and fed to :func:`_tables`; only its label, initial capital and
+    positional orbit are kept besides its rows.  Every betting state is a
+    row of one flat jump table, and one shared absorbing row stands for
+    bankruptcy.  The walk moves ``B`` steps at a time: the row of a state
+    with ``w`` codes per step has one entry per block of ``B`` codes
+    ``c_j``, at ``v = sum(c_j * w**j)``, holding the offset of the row
+    reached after them.  One block of the whole live population is then
+    one add and one gather, ``q = jump[q + v]``, and the log2 bet terms of
+    its steps are ``B`` gathers at the same indices, one in each step's
+    log table, ``logs`` taken at that step's ``reads``.  ``B`` is derived
+    from the population by :func:`_tables` (1 MB at 8 bytes an entry): the
     sweep's 500 sampled gamblers and planted winner get ``B = 3`` at
     ``h = 1`` and ``B = 2`` at ``h = 2``.  Gamblers with one positional
     orbit read the same codes, which are computed once per orbit and per
@@ -596,36 +523,53 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     :func:`walk` and :func:`window_exponents` give.  Bankrupt gamblers
     leave the population at the end of a chunk.
     """
-    t = _population_tables(specs, source)
-    out = [np.full(len(t.labels), BANKRUPT_LOG2) for _ in range(3)]
-    if not t.labels:
-        return PopulationRun(t.labels, *out)
+    k = source.alphabet_size
+    labels: list[str] = []
+    init, orbit_of = array("d"), array("q")
+    orbits: dict[tuple, tuple[int, _Orbits, int]] = {}
+
+    def compiled() -> Iterator[CompiledGambler]:
+        for spec in specs:
+            g = compile_gambler(spec)
+            _check_alphabet(source, g.k)
+            key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
+            orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit, k ** g.head_count))[0])
+            init.append(log2_fraction(g.initial))
+            labels.append(spec.label())
+            yield g
+
+    stride, jump, reads, logs, q, _ = _tables(compiled())
+    out = [np.full(len(labels), BANKRUPT_LOG2) for _ in range(3)]
+    if not labels:
+        return PopulationRun(labels, *out)
     if n <= 0:
         raise ValueError("empty trace")
     log2_final, limsup, liminf = out
-    k, stride = source.alphabet_size, t.stride
-    all_orbits = _Orbits.stack(t.orbits)
+    step_logs = np.take(logs, reads)
+    all_orbits = _Orbits.stack([o for _, o, _ in orbits.values()])
+    widths = np.array([w for *_, w in orbits.values()], dtype=np.int64)
+    orbit_of = np.array(orbit_of, dtype=np.int64)
     buf = source.prefix_array(n)
     window = _window_start(n)
 
-    live = np.arange(len(t.labels))
-    q, carry = t.start, t.init
+    live = np.arange(len(labels))
+    carry = np.array(init)
     hi, lo = np.full(len(live), -math.inf), np.full(len(live), math.inf)
-    used, column = np.unique(t.orbit_of, return_inverse=True)
+    used, column = np.unique(orbit_of, return_inverse=True)
     span = stride * (CHUNK // stride)
     for m0 in range(0, n, span):
         m1 = min(m0 + span, n)
         blocks = -(-(m1 - m0) // stride)
         codes = np.zeros((blocks * stride, len(used)), dtype=np.int64)
         codes[:m1 - m0] = all_orbits.select(used).codes(buf, m0, m1)
-        places = t.widths[used] ** np.arange(stride)[:, None]  # w**j for step j
+        places = widths[used] ** np.arange(stride)[:, None]  # w**j for step j
         idx = (codes.reshape(blocks, stride, len(used)) * places).sum(axis=1)[:, column]
         for row in idx:  # row becomes the jump index q + v of its block
             row += q
-            q = t.jump[row]
+            q = jump[row]
         caps = np.empty((blocks, stride, len(live)))
-        for j, logs in enumerate(t.step_logs):
-            np.take(logs, idx, out=caps[:, j])
+        for j, table in enumerate(step_logs):
+            np.take(table, idx, out=caps[:, j])
         caps = caps.reshape(-1, len(live))[:m1 - m0]
         caps[0] += carry
         np.cumsum(caps, axis=0, out=caps)
@@ -642,9 +586,9 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
             live, q, carry, hi, lo = (a[alive] for a in (live, q, carry, hi, lo))
             if not len(live):
                 break
-            used, column = np.unique(t.orbit_of[live], return_inverse=True)
+            used, column = np.unique(orbit_of[live], return_inverse=True)
     log2_final[live], limsup[live], liminf[live] = carry, hi, lo
-    return PopulationRun(t.labels, log2_final, limsup, liminf)
+    return PopulationRun(labels, log2_final, limsup, liminf)
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +828,6 @@ def check_martingale_property(spec: GamblerSpec, depth: int) -> bool:
     if depth > 20:
         raise ValueError("depth > 20 would enumerate too many nodes")
     k, h = spec.k, spec.head_count
-    pre, cyc = (mu.tolist() for mu in _positional_orbit(spec))
     _, q_index, trans, bet_rows = _compile_betting(spec)
     trans = np.array(trans, dtype=np.int32)
     rows = [[bets[b] for b in range(k)] for bets in bet_rows]
@@ -893,10 +836,7 @@ def check_martingale_property(spec: GamblerSpec, depth: int) -> bool:
     places = [k ** i for i in range(h - 1, 0, -1)]  # of the trailing reads in a code
     # node numbers stay below k**depth: int64 up to 2**63, Python ints past it
     number = np.int64 if k ** depth < 2**63 else object
-    heads = [[0] * (h - 1)]  # heads[m]: trailing positions before step m
-    for m in range(depth - 1):
-        bits = pre[m] if m < len(pre) else cyc[(m - len(pre)) % len(cyc)]
-        heads.append([p + b for p, b in zip(heads[-1], bits)])
+    heads = positions(spec, range(depth))  # heads[m]: trailing positions before step m
 
     def below(m: int, x0: int, q: np.ndarray, live: np.ndarray) -> bool:
         """Whether every live node under level-``m`` nodes ``x0, x0+1, ...``

@@ -195,6 +195,8 @@ class PrngSource(SequenceSource):
     def __init__(self, seed: int):
         super().__init__()
         self.seed = int(seed)
+        if not -2**63 <= self.seed < 2**63:
+            raise ValueError(f"seed {self.seed} is not a signed 64-bit integer")
         self._prefix = b"galelab-prng" + self.seed.to_bytes(8, "little", signed=True)
 
     def _fill(self, upto: int) -> None:

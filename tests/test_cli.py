@@ -203,6 +203,17 @@ def test_instability_refuses_h_below_2_before_echoing(tmp_path, capsys, h):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["0", "1", "2"])
+def test_instability_refuses_epsilon_outside_0_1_before_echoing(tmp_path, capsys, eps):
+    out = tmp_path / "inst.jsonl"
+    assert run("instability", "--h", "2", "--seed", "1", "--n", "200",
+               "--epsilon", eps, "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation failure: eps must lie strictly between 0 and 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h", ["0", "-1"])
 @pytest.mark.parametrize("seq", [False, True])
 def test_sweep_refuses_h_below_1_before_echoing(tmp_path, capsys, h, seq):
@@ -477,6 +488,17 @@ OUT_OF_RANGE = [
     (("verify", "--gambler", "parity:h=2", "--check", "speeds"), "--n-max", 0, 1),
     # once echoed, then refused inside the check
     (("verify", "--gambler", "parity:h=2", "--check", "martingale"), "--depth", 21, 20),
+    # a seed outside 64 bits once crashed the bit source with a traceback
+    (("gen-seq", "--variant", "raw", "--n", "10", "--out", "OUT"), "--seed", 2**63, 2**63 - 1),
+    (("gen-seq", "--n", "10", "--variant", "raw", "--out", "OUT"), "--seed", -2**63 - 1, -2**63),
+    (("verify", "--check", "parity", "--h", "2"), "--seed", -2**63 - 1, -2**63),
+    (("verify", "--h", "2", "--check", "parity"), "--seed", 2**63, 2**63 - 1),
+    (("instability", "--h", "2", "--n", "100", "--out", "OUT"), "--seed",
+     99999999999999999999, 2**63 - 1),
+    (("sweep", "--h", "1", "--n", "100", "--samples", "2", "--out", "OUT"), "--seq-seed",
+     2**63, 2**63 - 1),
+    (("sweep", "--n", "100", "--h", "1", "--samples", "2", "--out", "OUT"), "--seq-seed",
+     -2**63 - 1, -2**63),
 ]
 
 

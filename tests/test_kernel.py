@@ -38,8 +38,7 @@ from galelab.constructions import (
     uniform_gambler,
 )
 from galelab.engine import (
-    _population_tables,
-    _walk_tables,
+    _tables,
     check_speed_bounds,
     compile_gambler,
     measure_speeds,
@@ -172,7 +171,22 @@ SMALL_GATHER = 48
 
 
 def stride_of(spec) -> int:
-    return _walk_tables(compile_gambler(spec)).stride
+    return _tables([compile_gambler(spec)]).stride
+
+
+def compiled_strides(run, *args) -> list[int]:
+    """The strides of the tables that ``run(*args)`` compiles."""
+    strides, compile_tables = [], engine._tables
+
+    def spy(gamblers):
+        tables = compile_tables(gamblers)
+        strides.append(tables.stride)
+        return tables
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_tables", spy)
+        run(*args)
+    return strides
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,8 +248,11 @@ def test_walk_and_population_pick_the_same_stride():
     others = [single_minded_gambler(0), two_state_swing_gambler(), build_parity_gambler(1),
               build_parity_gambler(3)]
     others += [random_valid_gambler(seed, h) for h in (1, 2, 3, 4) for seed in range(10)]
+    src = prng_source(0)
     for spec in [*specs.values(), *others]:
-        assert stride_of(spec) == _population_tables([spec], prng_source(0)).stride
+        b = stride_of(spec)
+        assert compiled_strides(walk, compile_gambler(spec), src, 10) == [b]
+        assert compiled_strides(engine.walk_population, [spec], src, 10) == [b]
 
 
 # ---------------------------------------------------------------------------

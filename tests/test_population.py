@@ -22,7 +22,7 @@ from galelab.engine import (
     _TABLE_ENTRIES,
     CHUNK,
     WINDOW_FRAC,
-    _population_tables,
+    _tables,
     compile_gambler,
     run_martingale,
     walk,
@@ -72,9 +72,9 @@ def wide_population():
     return [random_valid_gambler(seed, 4) for seed in range(120)]
 
 
-def assert_stride(specs, src, least) -> int:
+def assert_stride(specs, least) -> int:
     """The stride of the population's tables: ``least``, or at least 3."""
-    got = _population_tables(iter(specs), src).stride
+    got = _tables(map(compile_gambler, specs)).stride
     assert got == least if least < 3 else got >= least
     return got
 
@@ -175,9 +175,9 @@ def test_sweep_populations_fit_the_table_budget():
     for h, expected in ((1, 3), (2, 2)):
         rng = random.Random(5)
         specs = [_sample_gambler(rng, h, 2, SweepBudget(seed=5), f"s{i}") for i in range(500)]
-        tables = _population_tables(specs + [build_parity_gambler(h)], prng_source(0))
+        tables = _tables(map(compile_gambler, specs + [build_parity_gambler(h)]))
         assert tables.stride == expected
-        assert tables.jump.size + tables.step_logs.size <= _TABLE_ENTRIES
+        assert tables.jump.size + tables.reads.size <= _TABLE_ENTRIES
 
 
 @pytest.mark.parametrize("name", POPULATIONS)
@@ -186,7 +186,7 @@ def test_all_in_run_alive_at_a_padded_tail(name):
     code 0 that pads a last block: it must end alive at n bits."""
     make, least = POPULATIONS[name]
     specs, src = make() + [single_minded_gambler(1)], constant_source(1)
-    b = assert_stride(specs, src, least)
+    b = assert_stride(specs, least)
     for n in sorted({b * 7 + 1, CHUNK - 1, CHUNK + 1}):
         run = assert_population_matches(specs, src, n)
         assert run.log2_final[-1] == n and run.liminf_est[-1] == 1.0
@@ -197,7 +197,7 @@ def test_bankrupt_at_each_step_of_a_block(name):
     """All-in on 0 over zeros with one 1: it dies at each offset in a block."""
     make, least = POPULATIONS[name]
     specs = make() + [single_minded_gambler(0)] * 2
-    b = assert_stride(specs, prng_source(0), least)
+    b = assert_stride(specs, least)
     n = 2 * CHUNK + 3 * b + 2
     for death in range(CHUNK - b, CHUNK + b):
         bits = [0] * n

@@ -336,6 +336,14 @@ def test_prng_is_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
+def test_prng_takes_exactly_the_signed_64_bit_seeds():
+    for seed in (-2**63, 2**63 - 1):
+        assert len(prng_source(seed).prefix_array(10)) == 10
+    for seed in (-2**63 - 1, 2**63):
+        with pytest.raises(ValueError, match="not a signed 64-bit integer"):
+            prng_source(seed)
+
+
 def test_distinct_seeds_give_balanced_hamming_distance():
     a = prng_source(1).prefix_array(10_000)
     b = prng_source(2).prefix_array(10_000)
