@@ -363,8 +363,8 @@ class _Tables(NamedTuple):
     at ``jump[r + v]``, and its step ``j`` reads the one-step entry
     ``reads[j, r + v]``, a row's one-step offset plus that step's code,
     whose log2 term is ``logs[reads[j, r + v]]``.  Gambler ``i`` starts at
-    the row at offset ``start[i]``; the absorbing row is last, at one-step
-    offset ``bankrupt``."""
+    the row at jump-table offset ``start[i]``; the absorbing row is last,
+    at one-step offset ``bankrupt``."""
 
     stride: int
     jump: np.ndarray
