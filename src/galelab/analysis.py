@@ -316,6 +316,8 @@ def adversarial_sweep(
     plus whatever references are passed in; it certifies nothing, it
     measures.
     """
+    if h < 1:  # as ``f_family`` refuses it, also for a sequence file
+        raise ValueError("h must be at least 1")
     rng = random.Random(budget.seed)
     k = source.alphabet_size
     sampled = (_sample_gambler(rng, h, k, budget, f"sample_{i:04d}")

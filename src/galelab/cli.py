@@ -6,7 +6,9 @@ verification, and the sweep / instability / dimension reports.  Every
 run echoes a reproducibility line (the fully resolved configuration,
 seeds included) and embeds it in whatever artifact it writes, so
 re-running a printed configuration regenerates the artifact byte for
-byte.
+byte.  A subcommand echoes only after its library calls return, so
+whatever the library refuses is refused before anything is printed or
+written.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 64 usage.
 Flag values win over ``--config`` file entries, which win over built-in
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import analysis, constructions, core, engine, sequences
@@ -30,7 +33,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
 
-_FAMILIES = ("F", "Fprime", "Fdoubleprime")
 _REQUIRED = object()
 
 # the least value of each bounded integer option, as a flag or a config
@@ -52,6 +54,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative rational such as ``-1/2`` is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message):  # noqa: A003 - argparse API
         raise _UsageError(message)
 
@@ -72,7 +79,7 @@ class _Options:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 self.cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # undecodable or not JSON
             raise OSError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(self.cfg, dict):
             raise OSError(f"config {path} is not a JSON object")
@@ -124,7 +131,8 @@ def _echo(config: dict) -> None:
     print("# config " + json.dumps(config, sort_keys=True))
 
 
-def _verdict(ok: bool, passed: str, failed: str) -> int:
+def _verdict(config: dict, ok: bool, passed: str, failed: str) -> int:
+    _echo(config)
     print(passed if ok else failed)
     return EXIT_OK if ok else EXIT_VALIDATION
 
@@ -212,9 +220,9 @@ def _cmd_gen_seq(opt: _Options) -> int:
     h = None if variant == "raw" else opt.integer("h")
     if h is not None:
         src = sequences.f_family(h, variant, src)
+    sequences.write_sequence(src, n, out)
     _echo({"command": "gen-seq", "variant": variant, "h": h,
            "seed": seed, "n": n, "out": str(out)})
-    sequences.write_sequence(src, n, out)
     print(f"wrote {n} symbols of {src.describe()} to {out}")
     return EXIT_OK
 
@@ -256,8 +264,6 @@ def _cmd_simulate(opt: _Options) -> int:
     config = {"command": "simulate", "gambler": gambler_ref,
               "seq": str(seq_path), "n": n, "mode": mode,
               "sgale": [str(s) for s in sgales], "out": str(out)}
-    # run before the echo, so that a horizon or an alphabet the run
-    # refuses is refused before anything is printed
     trace = engine.run_martingale(spec, src, n, mode=mode)
     _echo(config)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -278,10 +284,9 @@ def _cmd_verify(opt: _Options) -> int:
         n, seed = opt.integer("n", 10_000), opt.integer("seed", 1)
         src = sequences.f_family(h, variant, sequences.prng_source(seed))
         config.update({"h": h, "variant": variant, "n": n, "seed": seed})
-        _echo(config)
         result = sequences.verify_parity_structure(h, src, n)
         return _verdict(
-            result.ok,
+            config, result.ok,
             f"parity structure verified on {src.describe()} up to index {n}",
             f"parity structure violated at block q={result.first_violation}")
     if check not in ("spec", "martingale", "speeds"):
@@ -291,8 +296,7 @@ def _cmd_verify(opt: _Options) -> int:
     if check == "spec":
         # the file is loaded unvalidated: listing its violations is the check
         report = core.validate_gambler(_read_gambler(gambler_ref))
-        _echo(config)
-        return _verdict(report.ok, "gambler is structurally valid",
+        return _verdict(config, report.ok, "gambler is structurally valid",
                         "\n".join(f"violation {v}" for v in report))
 
     # validated first: an unknown transition target would make either
@@ -300,13 +304,11 @@ def _cmd_verify(opt: _Options) -> int:
     spec = _gambler(gambler_ref)
     if check == "martingale":
         depth = config["depth"] = opt.integer("depth", 10)
-        _echo(config)
-        return _verdict(engine.check_martingale_property(spec, depth),
+        return _verdict(config, engine.check_martingale_property(spec, depth),
                         f"fair-betting identity holds to depth {depth}",
                         f"fair-betting identity violated below depth {depth}")
     n_max = config["n_max"] = opt.integer("n_max", 100_000)
-    _echo(config)
-    return _verdict(engine.check_speed_bounds(spec, n_max),
+    return _verdict(config, engine.check_speed_bounds(spec, n_max),
                     f"head positions stay within the bound for all n <= {n_max}",
                     f"head positions stray beyond the bound before n={n_max}")
 
@@ -314,8 +316,6 @@ def _cmd_verify(opt: _Options) -> int:
 def _cmd_sweep(opt: _Options) -> int:
     h = opt.integer("h")
     out = opt.out()
-    if h < 1:  # as ``f_family`` refuses it, also for a --seq file
-        raise ValueError("h must be at least 1")
     if opt("seq", None):
         src, n = _load_sequence(opt)
     else:
@@ -331,10 +331,10 @@ def _cmd_sweep(opt: _Options) -> int:
     )
     include_refs = opt("include", []) or []
     include = [_gambler(str(ref)) for ref in include_refs]
+    report = analysis.adversarial_sweep(h, src, n, budget, include=include)
     _echo({"command": "sweep", "h": h, "n": n, "seq": src.describe(),
            "budget": budget.to_obj(), "include": [str(r) for r in include_refs],
            "out": str(out)})
-    report = analysis.adversarial_sweep(h, src, n, budget, include=include)
     analysis.write_jsonl(out, report.to_objs())
     print(f"max sampled exponent: "
           f"{analysis.encode_float(report.max_sampled_exponent)} "
@@ -346,14 +346,9 @@ def _cmd_instability(opt: _Options) -> int:
     h, seed, n = opt.integer("h"), opt.integer("seed"), opt.integer("n")
     eps = _fraction(opt("epsilon", "1/10"), "--epsilon")
     out = opt.out()
-    # refused before the config is echoed, like any other bad input
-    if h < 2:
-        raise ValueError("instability needs h >= 2 (two distinct variants)")
-    if not 0 < eps < 1:  # as ``constructions.average_gamblers`` refuses it
-        raise ValueError("eps must lie strictly between 0 and 1")
+    report = analysis.instability_experiment(h, seed, n, eps)
     _echo({"command": "instability", "h": h, "seed": seed, "n": n,
            "epsilon": str(eps), "out": str(out)})
-    report = analysis.instability_experiment(h, seed, n, eps)
     analysis.write_jsonl(out, report.to_objs())
     for tag in ("fprime", "fdoubleprime"):
         row = report.matrix[tag]
@@ -372,9 +367,9 @@ def _cmd_estimate_dim(opt: _Options) -> int:
     out = opt.out()
     src, n = _load_sequence(opt)
     gamblers = [_gambler(str(ref)) for ref in gambler_refs]
+    report = analysis.estimate_predim_upper(src, gamblers, n)
     _echo({"command": "estimate-dim", "seq": str(seq_path), "n": n,
            "gambler": [str(r) for r in gambler_refs], "out": str(out)})
-    report = analysis.estimate_predim_upper(src, gamblers, n)
     analysis.write_jsonl(out, report.to_objs())
     print(f"aggregate upper bound: {report.aggregate}")
     return EXIT_OK
@@ -385,7 +380,7 @@ def _cmd_report(opt: _Options) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = [json.loads(line) for line in fh if line.strip()]
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable or not JSON
             raise OSError(f"malformed report {path}: {exc}") from exc
     if not all(isinstance(obj, dict) for obj in lines):
         raise OSError(f"malformed report {path}: a line is not a JSON object")
@@ -426,7 +421,7 @@ def _build_parser() -> _Parser:
 
     p = command("gen-seq", _cmd_gen_seq, "generate a sequence file",
                 "--h", "--seed", "--n")
-    p.add_argument("--variant", choices=_FAMILIES + ("raw",))
+    p.add_argument("--variant", choices=sequences.VARIANTS + ("raw",))
 
     p = command("build-gambler", _cmd_build_gambler, "build and save a gambler",
                 "--h", "--symbol")
@@ -448,13 +443,13 @@ def _build_parser() -> _Parser:
                 parents=(configured,))
     p.add_argument("--check", choices=("spec", "martingale", "speeds", "parity"))
     p.add_argument("--gambler")
-    p.add_argument("--variant", choices=_FAMILIES)
+    p.add_argument("--variant", choices=sequences.VARIANTS)
 
     p = command("sweep", _cmd_sweep, "sample random gamblers against a sequence",
                 "--h", "--n", "--seq-seed", "--samples", "--max-t", "--max-q",
                 "--bet-denom", "--rng-seed")
     p.add_argument("--seq")
-    p.add_argument("--seq-variant", choices=_FAMILIES)
+    p.add_argument("--seq-variant", choices=sequences.VARIANTS)
     p.add_argument("--include", action="append")
 
     p = command("instability", _cmd_instability,

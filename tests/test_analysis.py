@@ -120,6 +120,13 @@ def test_sweep_records_have_report_fields():
     json.dumps(report.to_objs())  # everything JSON-serializable
 
 
+@pytest.mark.parametrize("h", [0, -1])
+def test_sweep_refuses_h_below_1_on_any_source(h):
+    # no source built from h refuses it first, as f_family would
+    with pytest.raises(ValueError, match="h must be at least 1"):
+        adversarial_sweep(h, prng_source(1), 100, _small_budget(samples=2))
+
+
 def test_encode_float_sentinels():
     assert encode_float(float("-inf")) == "-inf"
     assert encode_float(1.5) == 1.5

@@ -203,7 +203,7 @@ def test_instability_refuses_h_below_2_before_echoing(tmp_path, capsys, h):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eps", ["0", "1", "2"])
+@pytest.mark.parametrize("eps", ["0", "1", "2", "-1/2"])
 def test_instability_refuses_epsilon_outside_0_1_before_echoing(tmp_path, capsys, eps):
     out = tmp_path / "inst.jsonl"
     assert run("instability", "--h", "2", "--seed", "1", "--n", "200",
@@ -230,6 +230,88 @@ def test_sweep_refuses_h_below_1_before_echoing(tmp_path, capsys, h, seq):
     assert captured.out == ""
     assert captured.err == "validation failure: h must be at least 1\n"
     assert not out.exists()
+
+
+_CAP = ("requested prefix {} exceeds retained-prefix cap 1000 "
+        "(set GALELAB_MAX_PREFIX to raise it)")
+_ALPHABET = "source alphabet size 2 != gambler's 3"
+
+# Each of these once echoed its config and then failed in the library: a
+# horizon past the tables, a gambler over another alphabet, or (with the
+# retained-prefix cap lowered to 1000) a prefix past the cap.
+LIBRARY_REFUSALS = [
+    (("instability", "--h", "12", "--seed", "1", "--n", "100", "--out", "OUT"), False,
+     "h=12 unsupported; largest tabled h is 11"),
+    (("estimate-dim", "--seq", "SEQ", "--gambler", "uniform:k=3", "--out", "OUT"), False,
+     _ALPHABET),
+    (("sweep", "--h", "1", "--seq", "SEQ", "--include", "uniform:k=3", "--samples", "2",
+      "--out", "OUT"), False, _ALPHABET),
+    (("gen-seq", "--variant", "F", "--h", "1", "--seed", "1", "--n", "5000", "--out", "OUT"),
+     True, _CAP.format(5000)),
+    (("sweep", "--h", "1", "--n", "5000", "--samples", "2", "--out", "OUT"), True,
+     _CAP.format(5000)),
+    (("instability", "--h", "2", "--seed", "1", "--n", "5000", "--out", "OUT"), True,
+     _CAP.format(5000)),
+    (("verify", "--check", "parity", "--h", "2", "--n", "5000"), True, _CAP.format(5001)),
+]
+
+
+@pytest.mark.parametrize("argv, cap, message", LIBRARY_REFUSALS,
+                         ids=[" ".join(case[0][:3]) + (" cap" if case[1] else "")
+                              for case in LIBRARY_REFUSALS])
+def test_library_refusals_come_before_any_output(tmp_path, capsys, monkeypatch,
+                                                 argv, cap, message):
+    seq = tmp_path / "y.seq"
+    assert run("gen-seq", "--variant", "F", "--h", "1", "--seed", "1",
+               "--n", "200", "--out", str(seq)) == 0
+    capsys.readouterr()
+    if cap:
+        monkeypatch.setenv("GALELAB_MAX_PREFIX", "1000")
+    argv = [{"SEQ": str(seq), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert run(*argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation failure: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [seq]
+
+
+def test_combine_refuses_a_negative_epsilon_given_apart(tmp_path, capsys):
+    # argparse once read "-1/2" as a flag and exited 64
+    out = tmp_path / "out"
+    assert run("combine", "--g1", "parity:h=1", "--g2", "parity:h=1",
+               "--epsilon", "-1/2", "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation failure: eps must lie strictly between 0 and 1\n"
+    assert not out.exists()
+
+
+def test_a_negative_sgale_may_follow_its_flag(tmp_path):
+    seq, out = tmp_path / "y.seq", tmp_path / "t.csv"
+    run("gen-seq", "--variant", "F", "--h", "1", "--seed", "1",
+        "--n", "200", "--out", str(seq))
+    written = []
+    for sgale in (["--sgale", "-1/2"], ["--sgale=-1/2"]):
+        assert run("simulate", "--gambler", "parity:h=1", "--seq", str(seq),
+                   *sgale, "--out", str(out)) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b"sgale_-1/2" in written[0]
+
+
+@pytest.mark.parametrize("argv", [("instability", "--config", "BIN", "--out", "OUT"),
+                                  ("report", "--in", "BIN")],
+                         ids=["config", "report"])
+def test_an_undecodable_config_or_report_exits_2(tmp_path, capsys, argv):
+    binary = tmp_path / "y.seq"
+    binary.write_bytes(b"GSEQ\x02\x01\x01\x00\xc8\xff\x00\x00")
+    argv = [{"BIN": str(binary), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert run(*argv) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ")
+    assert str(binary) in captured.err and "can't decode" in captured.err
+    assert sorted(tmp_path.iterdir()) == [binary]
 
 
 def test_instability_command(tmp_path):
