@@ -12,8 +12,10 @@ written.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O error, 64 usage.
 Flag values win over ``--config`` file entries, which win over built-in
-defaults.  Subcommands raise ``ValueError`` for a validation failure and
-``OSError`` for an I/O error; ``main`` turns each into its exit code.
+defaults.  A flag that the chosen mode does not read is refused (exit
+64); a ``--config`` entry it does not read is ignored.  Subcommands
+raise ``ValueError`` for a validation failure and ``OSError`` for an I/O
+error; ``main`` turns each into its exit code.
 """
 
 from __future__ import annotations
@@ -110,6 +112,12 @@ class _Options:
         if number > _MOST.get(name, number):
             raise _UsageError(f"{flag} must be at most {_MOST[name]}, not {number}")
         return number
+
+    def unread(self, names, mode: str) -> None:
+        """Refuse a flag among ``names``, which ``mode`` does not read."""
+        for name in names:
+            if getattr(self.args, name, None) is not None:
+                raise _UsageError(f"--{name.replace('_', '-')} is not read by {mode}")
 
     def out(self):
         """The ``--out`` path, checked before any computation starts."""
@@ -217,6 +225,8 @@ def _cmd_gen_seq(opt: _Options) -> int:
     seed, n = opt.integer("seed"), opt.integer("n")
     out = opt.out()
     src = sequences.prng_source(seed)
+    if variant == "raw":
+        opt.unread(("h",), "--variant raw")
     h = None if variant == "raw" else opt.integer("h")
     if h is not None:
         src = sequences.f_family(h, variant, src)
@@ -274,8 +284,17 @@ def _cmd_simulate(opt: _Options) -> int:
     return EXIT_OK
 
 
+# the options each ``verify`` check reads
+_CHECK_READS = {"parity": ("h", "variant", "n", "seed"), "spec": ("gambler",),
+                "martingale": ("gambler", "depth"), "speeds": ("gambler", "n_max")}
+
+
 def _cmd_verify(opt: _Options) -> int:
     check = opt("check")
+    if check not in _CHECK_READS:
+        raise _UsageError(f"unknown check {check!r}")
+    opt.unread([name for names in _CHECK_READS.values() for name in names
+                if name not in _CHECK_READS[check]], f"--check {check}")
     config = {"command": "verify", "check": check}
 
     if check == "parity":
@@ -289,8 +308,6 @@ def _cmd_verify(opt: _Options) -> int:
             config, result.ok,
             f"parity structure verified on {src.describe()} up to index {n}",
             f"parity structure violated at block q={result.first_violation}")
-    if check not in ("spec", "martingale", "speeds"):
-        raise _UsageError(f"unknown check {check!r}")
 
     gambler_ref = config["gambler"] = str(opt("gambler"))
     if check == "spec":
@@ -317,6 +334,7 @@ def _cmd_sweep(opt: _Options) -> int:
     h = opt.integer("h")
     out = opt.out()
     if opt("seq", None):
+        opt.unread(("seq_variant", "seq_seed"), "--seq")
         src, n = _load_sequence(opt)
     else:
         n = opt.integer("n")

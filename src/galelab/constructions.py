@@ -42,7 +42,7 @@ from .core import (
     encode_symbol_vector,
     frac_geq_product,
     geq_pow2_scaled,
-    log2_fraction,
+    log2_ratio,
 )
 from .engine import compile_gambler, walk
 from .sequences import (
@@ -298,6 +298,9 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
         bets = ProbVector(tuple(
             alpha * beta1[b] + (1 - alpha) * beta2[b] for b in range(k)
         ))
+        # the update reads only the realized leading symbol
+        snapped = [round_dyadic(_alpha_step(alpha, beta1[b], beta2[b]), r)
+                   for b in range(k)]
         targets = []
         for code in range(n_codes):
             vec = decode_symbol_code(code, h, k)
@@ -306,8 +309,7 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
             vec2 = vec[h1 - 1:]
             nq1 = g1.betting[q1].transitions[encode_symbol_vector(vec1, k)]
             nq2 = g2.betting[q2].transitions[encode_symbol_vector(vec2, k)]
-            alpha2 = round_dyadic(_alpha_step(alpha, beta1[lead], beta2[lead]), r)
-            nxt = (nq1, nq2, alpha2)
+            nxt = (nq1, nq2, snapped[lead])
             if nxt not in q_ids:
                 q_ids[nxt] = f"Q{len(q_ids)}"
                 queue.append(nxt)
@@ -359,12 +361,13 @@ class AveragingAudit:
       factor ``k * w`` at every step at which the capital is nonzero;
 
     and from ``sum_bound_start`` on, ``d >= 2**(-eps*n) * (d1 + d2)``.
-    Every capital is an exact rational.  Each check is monotone between
+    Every capital is an exact rational, carried as a normalised
+    (numerator, denominator) pair of ints.  Each check is monotone between
     the steps at which a capital moves: the capitals are fixed there and
     both right-hand sides shrink with ``n``, so deciding the checks at
     the moving steps, at step 1 and at ``sum_bound_start`` finds every
-    earliest violation.  The two bounds are decided on ``log2_fraction``
-    of those rationals, in float: a margin counts only when it clears
+    earliest violation.  The two bounds are decided on ``log2_ratio`` of
+    those pairs, in float: a margin counts only when it clears
     ``LOG2_SLACK`` (2**-40) times its scale, the sum of ``1 + |term|``
     over its log2 terms (``n`` times for the loss exponent).  A zero
     capital is decided directly, and a margin within that slack exactly
@@ -392,10 +395,29 @@ class AveragingAudit:
                 and self.first_engine_mismatch is None)
 
 
-def _factor(x: Fraction) -> Fraction | None:
-    """A capital's step factor, ``None`` when it is exactly 1 (the step
-    leaves that capital and its log2 as they are)."""
-    return None if x == 1 else x
+# a rational as its normalised (numerator, denominator) pair of ints
+Pair = tuple[int, int]
+
+
+def _factor(x: Fraction) -> Pair | None:
+    """A capital's step factor as a ``Pair``, ``None`` when it is exactly 1
+    (the step leaves that capital and its log2 as they are)."""
+    return None if x == 1 else (x.numerator, x.denominator)
+
+
+def _times(x: Pair, f: Pair) -> Pair:
+    """``x * f`` by the two gcds ``Fraction`` multiplies with: the same
+    integers it holds."""
+    (num, den), (fnum, fden) = x, f
+    g = math.gcd(num, fden)
+    if g > 1:
+        num //= g
+        fden //= g
+    g = math.gcd(fnum, den)
+    if g > 1:
+        fnum //= g
+        den //= g
+    return num * fnum, den * fden
 
 
 def _decided(margin: float, scale: float) -> bool | None:
@@ -435,8 +457,10 @@ def averaging_audit(
     that fails first fails at a move.  The capitals are multiplied, their
     logs taken and every check decided at the moving steps, at step 1 and
     at ``sum_bound_start``; the log2 columns hold each value until the
-    next move.  The engine route is compared on interned factors, at
-    every step before the combined capital reaches 0.
+    next move, multiplied as int pairs (``_times``): ``Fraction``s are
+    built only per distinct step and at near-ties.  The engine route is
+    compared on interned factors, at every step before the combined
+    capital reaches 0.
 
     The certified float margin (``LOG2_SLACK``, ``_decided``) is the only
     screen in front of the exact comparisons, which multiply out in full.
@@ -447,6 +471,8 @@ def averaging_audit(
     of the margin's scale, so a second screen on bit lengths would
     almost never decide.
     """
+    if n < 0:
+        raise ValueError(f"negative prefix length {n}")
     eps = Fraction(eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
@@ -456,7 +482,7 @@ def averaging_audit(
     # (``_factor``'s None: the step leaves the capital as it is) is ``one``
     # and a factor of 0 is ``zero``
     one, zero = 0, 1
-    factor_ids: dict[Fraction | None, int] = {None: one, Fraction(0): zero}
+    factor_ids: dict[Pair | None, int] = {None: one, (0, 1): zero}
 
     def ids_of(rows) -> np.ndarray:
         return np.array([[factor_ids.setdefault(f, len(factor_ids)) for f in row]
@@ -490,7 +516,7 @@ def averaging_audit(
 
     # One distinct step: the snapped ratio and shadow corrections left by
     # the previous step (``after[e]``) meet the realized factors (i1, i2).
-    # Its entry holds the factors of d, d1, d2, dt1 and dt2, and leads to
+    # Its entry holds the ``_factor``s of d, d1, d2, dt1 and dt2, and leads to
     # ``after[next_after[entry]]``.
     after: list[tuple[Fraction, Fraction, Fraction]] = [
         (Fraction(1, 2), Fraction(1), Fraction(1))]
@@ -546,28 +572,28 @@ def averaging_audit(
     audit.first_engine_mismatch = int(differs[0]) + 1 if len(differs) else None
 
     base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
-    log_loss = log2_fraction(Fraction(base_num, base_den))
+    log_loss = log2_ratio(base_num, base_den)
     eps_float = float(eps)
 
-    def shadow_holds(step: int, dt: Fraction, ldt: float,
-                     dj: Fraction, ldj: float) -> bool:
+    def shadow_holds(step: int, dt: Pair, ldt: float, dj: Pair, ldj: float) -> bool:
         """``dt >= (1 - 2**(1-r))**step * dj``."""
-        if not dj:
+        if not dj[0]:
             return True
-        if not dt:
+        if not dt[0]:
             return False
         verdict = _decided(ldt - ldj - step * log_loss,
                            2 + abs(ldt) + abs(ldj) + step * (1 - log_loss))
         if verdict is None:
-            return frac_geq_product(dt, base_num ** step, base_den ** step, dj)
+            return frac_geq_product(Fraction(*dt), base_num ** step,
+                                    base_den ** step, Fraction(*dj))
         return verdict
 
-    def sum_holds(step: int, d: Fraction, ld: float, d1: Fraction, ld1: float,
-                  d2: Fraction, ld2: float) -> bool:
+    def sum_holds(step: int, d: Pair, ld: float, d1: Pair, ld1: float,
+                  d2: Pair, ld2: float) -> bool:
         """``d >= 2**(-eps*step) * (d1 + d2)``."""
-        if not (d1 or d2):
+        if not (d1[0] or d2[0]):
             return True
-        if not d:
+        if not d[0]:
             return False
         hi, lo = max(ld1, ld2), min(ld1, ld2)
         scale = 4 + abs(ld) + abs(hi) + eps_float * step
@@ -576,7 +602,8 @@ def averaging_audit(
         log_sum = hi + math.log1p(2.0 ** (lo - hi)) / math.log(2)
         verdict = _decided(ld - log_sum + eps_float * step, scale)
         if verdict is None:
-            return geq_pow2_scaled(d, d1 + d2, -eps.numerator * step, eps.denominator)
+            return geq_pow2_scaled(Fraction(*d), Fraction(*d1) + Fraction(*d2),
+                                   -eps.numerator * step, eps.denominator)
         return verdict
 
     checked = moving.any(1)
@@ -586,28 +613,30 @@ def averaging_audit(
     at = np.flatnonzero(checked)
     masks = moving[at] @ (1 << np.arange(5))  # bit c: capital c moves
     values = array("d")
-    d = d1 = d2 = dt1 = dt2 = Fraction(1)
+    d = d1 = d2 = dt1 = dt2 = (1, 1)
     ld = ld1 = ld2 = ldt1 = ldt2 = 0.0
     identity = sum_bound = s1 = s2 = None
     for m, j, mask in zip(at.tolist(), trail[at].tolist(), masks.tolist()):
         step = m + 1
         f, f1, f2, ft1, ft2 = factors[j]
         if mask & 1:
-            d *= f
-            ld = log2_fraction(d)
+            d = _times(d, f)
+            ld = log2_ratio(*d)
         if mask & 2:
-            d1 *= f1
-            ld1 = log2_fraction(d1)
+            d1 = _times(d1, f1)
+            ld1 = log2_ratio(*d1)
         if mask & 4:
-            d2 *= f2
-            ld2 = log2_fraction(d2)
+            d2 = _times(d2, f2)
+            ld2 = log2_ratio(*d2)
         if mask & 8:
-            dt1 *= ft1
-            ldt1 = log2_fraction(dt1)
+            dt1 = _times(dt1, ft1)
+            ldt1 = log2_ratio(*dt1)
         if mask & 16:
-            dt2 *= ft2
-            ldt2 = log2_fraction(dt2)
-        if identity is None and mask & 0b11001 and 2 * d != dt1 + dt2:  # d, dt1, dt2
+            dt2 = _times(dt2, ft2)
+            ldt2 = log2_ratio(*dt2)
+        # 2 d == dt1 + dt2, cross-multiplied, where one of them moves
+        if (identity is None and mask & 0b11001
+                and 2 * d[0] * dt1[1] * dt2[1] != d[1] * (dt1[0] * dt2[1] + dt2[0] * dt1[1])):
             identity = step
         if s1 is None and not shadow_holds(step, dt1, ldt1, d1, ld1):
             s1 = step

@@ -42,6 +42,7 @@ __all__ = [
     "encode_symbol_vector",
     "decode_symbol_code",
     "log2_fraction",
+    "log2_ratio",
     "parse_rational",
     "format_rational",
     "frac_geq_product",
@@ -85,7 +86,12 @@ def log2_fraction(x: Fraction) -> float:
     result keeps small *relative* error even for operands far outside
     float range or pathologically close to 1.
     """
-    num, den = x.numerator, x.denominator
+    return log2_ratio(x.numerator, x.denominator)
+
+
+def log2_ratio(num: int, den: int) -> float:
+    """``log2_fraction(Fraction(num, den))`` for a normalised pair (``den``
+    positive and coprime to ``num``), without building the ``Fraction``."""
     if num <= 0:
         if num == 0:
             return BANKRUPT_LOG2

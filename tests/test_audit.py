@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galelab import constructions
 from galelab.constructions import (
@@ -129,6 +131,20 @@ def test_audit_matches_reference_on_random_pairs():
         bankrupt += any(c[-1] == BANKRUPT_LOG2 for c in audit.log2_components)
         non_dyadic += _non_dyadic(g1) or _non_dyadic(g2)
     assert bankrupt and non_dyadic   # the sample covers both cases
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+       heads=st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
+       eps=st.sampled_from([Fraction(1, 10), Fraction(1, 3), Fraction(1, 2)]),
+       n=st.integers(1, 200), source_seed=st.integers(0, 1000))
+# both components bet non-dyadic weights and the first goes bankrupt
+@example(seeds=(3, 1003), heads=(2, 2), eps=Fraction(1, 3), n=200, source_seed=3)
+# both bet non-dyadic weights and neither goes bankrupt
+@example(seeds=(4, 1004), heads=(2, 1), eps=Fraction(1, 3), n=200, source_seed=4)
+def test_audit_matches_reference_on_drawn_pairs(seeds, heads, eps, n, source_seed):
+    g1, g2 = (random_valid_gambler(seed, h) for seed, h in zip(seeds, heads))
+    assert_audits_agree(g1, g2, eps, lambda: prng_source(source_seed), n)
 
 
 def test_audit_matches_reference_with_bankrupt_and_non_dyadic_components():
@@ -286,9 +302,9 @@ def test_a_capital_zeroed_at_step_1_stops_moving(monkeypatch):
     step; those steps move nothing, so the audit takes the same number of
     logarithms however long it runs, and its reported column stays -inf."""
     logs = []
-    real = constructions.log2_fraction
-    monkeypatch.setattr(constructions, "log2_fraction",
-                        lambda x: logs.append(x) or real(x))
+    real = constructions.log2_ratio
+    monkeypatch.setattr(constructions, "log2_ratio",
+                        lambda num, den: logs.append(num) or real(num, den))
     bits = [0, 1, 1, 0, 1, 0, 0, 1] * 40
     counts = []
     for n in (50, len(bits)):
@@ -299,6 +315,32 @@ def test_a_capital_zeroed_at_step_1_stops_moving(monkeypatch):
         assert (audit.log2_components[1] == BANKRUPT_LOG2).all()
         counts.append(sum(x == 0 for x in logs))
     assert counts[0] == counts[1] == 2   # d2 and its shadow dt2, once each
+
+
+def test_fraction_products_do_not_grow_with_the_moving_steps(monkeypatch):
+    """Exact ``Fraction`` work is per distinct step (and per near-tie, of
+    which the variant audit has none): a variant audit makes as many
+    products at 1500 steps as at 10 000, though its capitals move at
+    hundreds more steps."""
+    products = [0]
+
+    def counted(real):
+        def product(a, b):
+            products[0] += 1
+            return real(a, b)
+        return product
+
+    monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+    g1 = build_variant_gambler(2, "Fprime")
+    g2 = build_variant_gambler(2, "Fdoubleprime")
+    counts = []
+    for n in (1500, 10_000):
+        products[0] = 0
+        assert averaging_audit(g1, g2, Fraction(1, 10),
+                               f_family(2, "Fprime", prng_source(3)), n).ok
+        counts.append(products[0])
+    assert counts[0] == counts[1]
 
 
 def test_identity_is_checked_where_only_the_shadows_move(monkeypatch):

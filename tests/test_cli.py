@@ -608,3 +608,55 @@ def test_out_of_range_integer_exits_64_before_any_output(tmp_path, capsys, argv,
     assert captured.err.startswith(
         f"usage error: {flag} must be at {side} {bound}, not {value}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+# A flag that the chosen mode does not read was once accepted and dropped:
+# the run went ahead without it, and its config echo did not name it.
+UNREAD_FLAGS = [
+    (("gen-seq", "--variant", "raw", "--h", "3", "--seed", "1", "--n", "10", "--out", "OUT"),
+     "--h", "--variant raw"),
+    (("sweep", "--h", "1", "--seq", "SEQ", "--seq-variant", "Fprime", "--samples", "2",
+      "--out", "OUT"), "--seq-variant", "--seq"),
+    (("sweep", "--seq", "SEQ", "--h", "1", "--seq-seed", "4", "--samples", "2",
+      "--out", "OUT"), "--seq-seed", "--seq"),
+    (("verify", "--check", "spec", "--gambler", "parity:h=2", "--depth", "3"),
+     "--depth", "--check spec"),
+    (("verify", "--check", "martingale", "--gambler", "parity:h=2", "--n-max", "7"),
+     "--n-max", "--check martingale"),
+    (("verify", "--check", "martingale", "--gambler", "uniform", "--h", "2"),
+     "--h", "--check martingale"),
+    (("verify", "--check", "parity", "--h", "2", "--gambler", "uniform"),
+     "--gambler", "--check parity"),
+    (("verify", "--check", "parity", "--h", "2", "--depth", "4"), "--depth", "--check parity"),
+    (("verify", "--check", "speeds", "--gambler", "uniform", "--variant", "F"),
+     "--variant", "--check speeds"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, mode", UNREAD_FLAGS,
+                         ids=[" ".join(case[0][:3]) + f" {case[1]}" for case in UNREAD_FLAGS])
+def test_a_flag_the_mode_does_not_read_exits_64_before_any_output(tmp_path, capsys,
+                                                                  argv, flag, mode):
+    seq = tmp_path / "y.seq"
+    assert run("gen-seq", "--variant", "F", "--h", "1", "--seed", "1",
+               "--n", "100", "--out", str(seq)) == 0
+    argv = [{"SEQ": str(seq), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert run(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} is not read by {mode}\n")
+    assert sorted(tmp_path.iterdir()) == [seq]
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (("gen-seq", "--variant", "raw", "--seed", "1", "--n", "10", "--out", "OUT"), {"h": 3}),
+    (("verify", "--check", "spec", "--gambler", "parity:h=2"), {"depth": 3}),
+])
+def test_a_config_entry_the_mode_does_not_read_is_ignored(tmp_path, capsys, argv, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run(*argv, "--config", str(cfg)) == 0
+    echoed = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+    assert all(echoed.get(key) is None for key in entry)

@@ -1,11 +1,13 @@
 """Winning gamblers, dyadic rounding, and the averaging combinator."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galelab import constructions
 from galelab.constructions import (
     average_gamblers,
     averaging_audit,
@@ -16,7 +18,14 @@ from galelab.constructions import (
     single_minded_gambler,
     uniform_gambler,
 )
-from galelab.core import validate_gambler
+from galelab.core import (
+    BettingState,
+    ProbVector,
+    decode_symbol_code,
+    encode_symbol_vector,
+    gambler_to_json,
+    validate_gambler,
+)
 from galelab.engine import (
     check_martingale_property,
     check_speed_bounds,
@@ -28,6 +37,8 @@ from galelab.engine import (
     window_exponents,
 )
 from galelab.sequences import f_family, nth_prime, prng_source
+
+from gamblers import random_valid_gambler
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +251,48 @@ def test_average_rejects_bad_inputs():
         average_gamblers(g1, bad, Fraction(1, 10))
 
 
+def per_code_average(g1, g2, eps):
+    """``average_gamblers`` with the allocation update computed once per
+    code rather than once per leading symbol; the positional product is
+    taken from the real build."""
+    built = average_gamblers(g1, g2, eps)
+    k, h1, h = g1.k, g1.head_count, built.head_count
+    r = rounding_resolution(Fraction(eps))
+    start = (g1.initial_q, g2.initial_q, Fraction(1, 2))
+    q_ids, queue, rows = {start: "Q0"}, [start], {}
+    while queue:
+        q1, q2, alpha = triple = queue.pop()
+        beta1, beta2 = g1.betting[q1].bets, g2.betting[q2].bets
+        targets = []
+        for code in range(k ** h):
+            vec = decode_symbol_code(code, h, k)
+            lead = vec[-1]
+            nxt = (g1.betting[q1].transitions[encode_symbol_vector(vec[:h1 - 1] + (lead,), k)],
+                   g2.betting[q2].transitions[encode_symbol_vector(vec[h1 - 1:], k)],
+                   round_dyadic(constructions._alpha_step(alpha, beta1[lead], beta2[lead]), r))
+            if nxt not in q_ids:
+                q_ids[nxt] = f"Q{len(q_ids)}"
+                queue.append(nxt)
+            targets.append(q_ids[nxt])
+        rows[q_ids[triple]] = BettingState(ProbVector(tuple(
+            alpha * beta1[b] + (1 - alpha) * beta2[b] for b in range(k))), tuple(targets))
+    return replace(built, betting=rows)
+
+
+@pytest.mark.parametrize("g1, g2, eps", [
+    (build_variant_gambler(2, "Fprime"), build_variant_gambler(2, "Fdoubleprime"),
+     Fraction(1, 10)),
+    (build_variant_gambler(3, "Fprime"), build_variant_gambler(3, "Fdoubleprime"),
+     Fraction(1, 3)),
+    (random_valid_gambler(3, 2), random_valid_gambler(1003, 2), Fraction(1, 10)),
+    (random_valid_gambler(6, 1), random_valid_gambler(9, 2), Fraction(1, 2)),
+], ids=["variants h=2", "variants h=3", "non-dyadic 2+2", "non-dyadic 1+2"])
+def test_average_matches_the_per_code_build(g1, g2, eps):
+    got = gambler_to_json(average_gamblers(g1, g2, eps))
+    assert got == gambler_to_json(per_code_average(g1, g2, eps))
+    assert len(got["betting_states"]) > 1
+
+
 def test_average_is_a_fair_gambler():
     g1 = build_variant_gambler(2, "Fprime")
     g2 = build_variant_gambler(2, "Fdoubleprime")
@@ -266,6 +319,13 @@ def test_averaging_audit_on_uniform_pair():
     audit = averaging_audit(g, g, Fraction(1, 2), prng_source(4), 300)
     assert audit.ok
     assert audit.log2_combined[-1] == 0.0
+
+
+def test_averaging_audit_refuses_a_negative_length_before_any_work(monkeypatch):
+    monkeypatch.setattr(constructions, "average_gamblers", None)   # not reached
+    g = uniform_gambler()
+    with pytest.raises(ValueError, match="^negative prefix length -3$"):
+        averaging_audit(g, g, Fraction(1, 2), prng_source(4), -3)
 
 
 def test_averaged_gambler_grows_on_both_variants():

@@ -23,6 +23,7 @@ from galelab.core import (
     geq_pow2_scaled,
     load_gambler,
     log2_fraction,
+    log2_ratio,
     parse_rational,
     save_gambler,
     validate_gambler,
@@ -83,6 +84,16 @@ def test_log2_fraction_small_relative_error(x):
         ref = float(mpmath.log(mpmath.mpf(x.numerator)
                                / mpmath.mpf(x.denominator), 2))
     assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(0), Fraction(1), Fraction(2) ** 2100, Fraction(1, 2 ** 2100), Fraction(1, 8),
+    Fraction(2 ** 50 + 1, 2 ** 50), Fraction(2 ** 50 - 1, 2 ** 50),   # near 1
+    Fraction(10 ** 50 + 7, 10 ** 50), Fraction(3 ** 1400, 3 ** 1400 + 1),
+    Fraction(3 ** 1500, 2 ** 2100), Fraction(5 ** 900 + 1, 7 ** 800),  # > 2000 bits
+])
+def test_log2_ratio_is_log2_fraction_on_the_pair(x):
+    assert log2_ratio(x.numerator, x.denominator).hex() == log2_fraction(x).hex()
 
 
 rationals = st.fractions(min_value=0, max_value=100, max_denominator=64)
