@@ -457,10 +457,10 @@ def averaging_audit(
     that fails first fails at a move.  The capitals are multiplied, their
     logs taken and every check decided at the moving steps, at step 1 and
     at ``sum_bound_start``; the log2 columns hold each value until the
-    next move, multiplied as int pairs (``_times``): ``Fraction``s are
-    built only per distinct step and at near-ties.  The engine route is
-    compared on interned factors, at every step before the combined
-    capital reaches 0.
+    next move.  The capitals are multiplied as int pairs (``_times``):
+    ``Fraction``s are built only per distinct step and at near-ties.  The
+    engine route is compared on interned factors, at every step before
+    the combined capital reaches 0.
 
     The certified float margin (``LOG2_SLACK``, ``_decided``) is the only
     screen in front of the exact comparisons, which multiply out in full.
