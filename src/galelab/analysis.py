@@ -3,10 +3,10 @@
 Everything here is finite-horizon, statistical evidence: "the capital
 grows without bound" is not decidable from a prefix, so the working
 proxy is the sliding-window growth exponent of a run (see
-:func:`galelab.engine.window_exponents`), with a positive trend above
-a small threshold counting as success.  Reports echo their full
-configuration and seeds, and identical configurations reproduce reports
-byte for byte.
+:func:`galelab.engine.window_exponents`).  A dimension witness is its
+run record: a run with exponent ``e`` bounds the dimension by ``1 - e``
+(:func:`upper_bound`).  Reports echo their full configuration and
+seeds, and identical configurations reproduce reports byte for byte.
 
 A sweep walks its whole population of gamblers together, in one
 :func:`galelab.engine.walk_population`, and reports them in sample
@@ -35,9 +35,8 @@ from .engine import compile_gambler, walk, walk_population, window_exponents
 from .sequences import SequenceSource, f_family, prng_source
 
 __all__ = [
-    "SUCCESS_TREND_THRESHOLD",
     "RunRecord",
-    "DimensionEntry",
+    "upper_bound",
     "DimensionReport",
     "estimate_predim_upper",
     "SweepBudget",
@@ -48,10 +47,6 @@ __all__ = [
     "encode_float",
     "write_jsonl",
 ]
-
-# a window growth trend above this counts as empirical success; an order
-# of magnitude below the structured winners' signal at desk horizons
-SUCCESS_TREND_THRESHOLD = 0.01
 
 
 def encode_float(x: float) -> float | str:
@@ -104,50 +99,34 @@ def _run_record(spec: GamblerSpec, source: SequenceSource, n: int,
 # dimension upper bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionEntry:
-    gambler_id: str
-    exponent: float
-    upper_bound: float
-    bankrupt: bool
-
-    def succeeds_at(self, s: float) -> bool:
-        """Finite-horizon success proxy for the scale-``s`` reweighting."""
-        if self.exponent == BANKRUPT_LOG2:
-            return False
-        return (s - 1) + self.exponent > SUCCESS_TREND_THRESHOLD
+def upper_bound(record: RunRecord) -> float:
+    """The bound a witness run puts on the dimension: ``1 - exponent``,
+    or the trivial 1 for a bankrupt run, which certifies nothing."""
+    return 1.0 if record.exponent == BANKRUPT_LOG2 else 1.0 - record.exponent
 
 
 @dataclass
 class DimensionReport:
     """Per-gambler growth evidence and the aggregate upper bound.
 
-    Each witness gambler caps the dimension-like quantity at
-    ``1 - exponent``; a bankrupt witness certifies nothing beyond the
-    trivial bound 1.  The aggregate is the minimum over witnesses and can
-    only decrease as witnesses are added.
+    The aggregate is the least :func:`upper_bound` over the witness runs,
+    so it can only decrease as witnesses are added.
     """
 
     seq_id: str
     n: int
-    entries: list[DimensionEntry]
+    records: list[RunRecord]
 
     @property
     def aggregate(self) -> float:
-        return min((e.upper_bound for e in self.entries), default=1.0)
+        return min(map(upper_bound, self.records), default=1.0)
 
     def to_objs(self) -> list[dict]:
         out = [{"type": "config", "seq_id": self.seq_id, "n": self.n}]
-        for e in self.entries:
-            out.append({
-                "type": "run",
-                "gambler_id": e.gambler_id,
-                "seq_id": self.seq_id,
-                "n": self.n,
-                "exponent": encode_float(e.exponent),
-                "upper_bound": encode_float(e.upper_bound),
-                "bankrupt": e.bankrupt,
-            })
+        out.extend({"type": "run", "gambler_id": r.gambler_id, "seq_id": r.seq_id,
+                    "n": r.n, "exponent": encode_float(r.exponent),
+                    "upper_bound": encode_float(upper_bound(r)),
+                    "bankrupt": r.exponent == BANKRUPT_LOG2} for r in self.records)
         out.append({"type": "summary", "aggregate_upper_bound":
                     encode_float(self.aggregate)})
         return out
@@ -165,18 +144,8 @@ def estimate_predim_upper(
     bounds are possible by running concrete gamblers; the infimum over
     all gamblers is not computable.
     """
-    entries = []
-    for spec in gamblers:
-        rec = _run_record(spec, source, n)
-        bankrupt = rec.exponent == BANKRUPT_LOG2
-        upper = 1.0 if bankrupt else 1.0 - rec.exponent
-        entries.append(DimensionEntry(
-            gambler_id=rec.gambler_id,
-            exponent=rec.exponent,
-            upper_bound=upper,
-            bankrupt=bankrupt,
-        ))
-    return DimensionReport(seq_id=source.describe(), n=n, entries=entries)
+    return DimensionReport(seq_id=source.describe(), n=n,
+                           records=[_run_record(spec, source, n) for spec in gamblers])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,14 @@ class _Options:
             raise _UsageError(f"{flag} must be at most {_MOST[name]}, not {number}")
         return number
 
+    def listed(self, name: str) -> list:
+        """An appended option: its flags, or a config entry that is a JSON
+        list; a string is refused, as it would be read as its characters."""
+        value = self(name, None)
+        if value is not None and not isinstance(value, list):
+            raise _UsageError(f"bad list for --{name}: {value!r}")
+        return value or []
+
     def unread(self, names, mode: str) -> None:
         """Refuse a flag among ``names``, which ``mode`` does not read."""
         for name in names:
@@ -131,7 +139,7 @@ class _Options:
 def _fraction(text, what: str):
     try:
         return core.parse_rational(str(text))
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad rational for {what}: {text!r}") from exc
 
 
@@ -182,10 +190,12 @@ def _build(kind, params: dict) -> core.GamblerSpec:
 
 
 def _read_gambler(ref: str) -> core.GamblerSpec:
-    """A gambler file path, or a shorthand like ``parity:h=2``; unvalidated."""
+    """A shorthand like ``parity:h=2``, whose text before the first ``:``
+    is a kind, or a bare ``uniform`` or ``allin`` (the kinds with no
+    required parameter); anything else is a gambler file path.
+    Unvalidated."""
     kind, sep, rest = ref.partition(":")
-    # kinds with no required parameter may be named bare
-    if not sep and kind not in ("uniform", "allin"):
+    if kind not in _KINDS or not sep and kind not in ("uniform", "allin"):
         try:
             return core.load_gambler(ref)
         except (ValueError, KeyError, TypeError) as exc:
@@ -267,7 +277,7 @@ def _cmd_simulate(opt: _Options) -> int:
     gambler_ref, seq_path = str(opt("gambler")), opt("seq")
     mode = opt("mode", "log2")
     out = opt.out()
-    sgales = opt("sgale", []) or []
+    sgales = opt.listed("sgale")
     spec = _gambler(gambler_ref)
     src, n = _load_sequence(opt)
     s_values = [(str(s), _fraction(s, "--sgale")) for s in sgales]
@@ -347,7 +357,7 @@ def _cmd_sweep(opt: _Options) -> int:
         samples=opt.integer("samples", 500),
         seed=opt.integer("rng_seed", 0),
     )
-    include_refs = opt("include", []) or []
+    include_refs = opt.listed("include")
     include = [_gambler(str(ref)) for ref in include_refs]
     report = analysis.adversarial_sweep(h, src, n, budget, include=include)
     _echo({"command": "sweep", "h": h, "n": n, "seq": src.describe(),
@@ -379,7 +389,7 @@ def _cmd_instability(opt: _Options) -> int:
 
 def _cmd_estimate_dim(opt: _Options) -> int:
     seq_path = opt("seq")
-    gambler_refs = opt("gambler", []) or []
+    gambler_refs = opt.listed("gambler")
     if not gambler_refs:
         raise _UsageError("estimate-dim needs at least one --gambler")
     out = opt.out()

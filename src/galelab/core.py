@@ -9,12 +9,12 @@ rational-valued bet on the next symbol).  Capital evolves by the fair
 multiplication rule: betting weight ``p`` on the realized symbol of a
 size-``k`` alphabet multiplies the capital by ``k * p``.
 
-This module holds the passive data types (alphabet, bet distributions,
-the gambler seven-tuple), their structural validation, exact rational
-helpers with the base-2 logarithm that capital is reported in, and the
-JSON wire format used to persist gamblers.  Simulation lives in
-:mod:`galelab.engine`; concrete winning gamblers are built in
-:mod:`galelab.constructions`.
+This module holds the passive data types (an alphabet, which is its
+size, bet distributions, the gambler seven-tuple), their structural
+validation, exact rational helpers with the base-2 logarithm that
+capital is reported in, and the JSON wire format used to persist
+gamblers.  Simulation lives in :mod:`galelab.engine`; concrete winning
+gamblers are built in :mod:`galelab.constructions`.
 
 All types are immutable after construction and safe to share between
 threads.
@@ -67,9 +67,12 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         return text
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise TypeError("rationals must be exact strings, never floats")
-    return Fraction(text.strip())
+    if not isinstance(text, str):  # a float, null or list
+        raise TypeError(f"rationals must be exact strings or ints, not {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -160,21 +163,15 @@ def geq_pow2_scaled(x: Fraction, y: Fraction, shift_num: int, shift_den: int) ->
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite alphabet; symbols are encoded by their index 0..k-1.
+    """Finite alphabet of ``size`` symbols, each encoded by its index
+    ``0..size-1``: all file formats store symbol indices, so the size is
+    the whole alphabet."""
 
-    All file formats store symbol indices, so the fixed order of
-    ``symbols`` is what pins the encoding.
-    """
-
-    symbols: tuple[int, ...]
+    size: int
 
     @classmethod
     def from_size(cls, k: int) -> "Alphabet":
-        return cls(tuple(range(k)))
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
+        return cls(k)
 
 
 @dataclass(frozen=True)
@@ -338,8 +335,6 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
 
     if k < 2:
         bad.append(Violation("alphabet", f"size {k} < 2"))
-    if len(set(spec.alphabet.symbols)) != k:
-        bad.append(Violation("alphabet", "symbols are not distinct"))
     if h < 1:
         bad.append(Violation("head_count", f"{h} < 1"))
     if not spec.positional:
@@ -362,7 +357,6 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
             bad.append(Violation(f"positional[{tid}]",
                                  "move_bits entries must be 0 or 1"))
 
-    n_codes = k ** h
     for qid, st in spec.betting.items():
         row = st.bets
         if len(row) != k:
@@ -376,11 +370,11 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
                 bad.append(Violation(
                     f"betting[{qid}]",
                     f"bet weights sum to {row.total()}, expected 1"))
-        if len(st.transitions) != n_codes:
+        if not _is_power(len(st.transitions), k, h):
             bad.append(Violation(
                 f"betting[{qid}]",
                 f"transition table has {len(st.transitions)} rows, "
-                f"expected k^h = {n_codes}"))
+                f"expected k^h = {k}^{h}"))
         for code, target in enumerate(st.transitions):
             if target not in spec.betting:
                 bad.append(Violation(
@@ -393,6 +387,18 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
         bad.append(Violation("initial", f"q0 {spec.initial_q!r} unknown"))
 
     return ValidationReport(bad)
+
+
+def _is_power(rows: int, k: int, h: int) -> bool:
+    """``rows == k**h``, decided by dividing ``rows`` by ``k`` at most ``h``
+    times, so a huge ``k**h`` that cannot match is never built."""
+    if k < 2 or h < 1:  # a refused alphabet or head count: k^h is 0, 1 or no count
+        return k >= 0 and h >= 0 and rows == k ** h
+    for _ in range(h):
+        rows, rest = divmod(rows, k)
+        if rest or not rows:
+            return False
+    return rows == 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def gambler_to_json(spec: GamblerSpec, config: dict | None = None) -> dict:
 
 def gambler_from_json(doc: dict) -> GamblerSpec:
     """Rebuild a gambler from its JSON document (shape errors raise)."""
-    if doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError(f"not a {FORMAT_TAG} document")
     positional = {
         st["id"]: PositionalState(st["next"], tuple(int(b) for b in st["move_bits"]))

@@ -11,6 +11,7 @@ from galelab.analysis import (
     encode_float,
     estimate_predim_upper,
     instability_experiment,
+    upper_bound,
     write_jsonl,
 )
 from galelab.constructions import (
@@ -29,11 +30,9 @@ def test_upper_bound_from_parity_gambler():
     src = f_family(2, "F", prng_source(1))
     report = estimate_predim_upper(src, [build_parity_gambler(2)], 20_000)
     assert abs(report.aggregate - 0.8) <= 0.01
-    entry = report.entries[0]
-    assert entry.gambler_id == "parity_h2"
-    assert not entry.bankrupt
-    assert entry.succeeds_at(0.9)
-    assert not entry.succeeds_at(0.75)
+    record = report.records[0]
+    assert record.gambler_id == "parity_h2"
+    assert upper_bound(record) == report.aggregate
 
 
 def test_upper_bound_zero_for_fully_predictable_sequence():
@@ -50,9 +49,8 @@ def test_uniform_witness_gives_trivial_bound_exactly():
 def test_bankrupt_witness_certifies_nothing():
     report = estimate_predim_upper(constant_source(1),
                                    [single_minded_gambler(0)], 1_000)
-    assert report.entries[0].bankrupt
-    assert report.entries[0].upper_bound == 1.0
-    assert report.entries[0].exponent == float("-inf")
+    assert upper_bound(report.records[0]) == 1.0
+    assert report.records[0].exponent == float("-inf")
 
 
 def test_aggregate_shrinks_as_witnesses_are_added():
@@ -61,7 +59,7 @@ def test_aggregate_shrinks_as_witnesses_are_added():
     both = estimate_predim_upper(
         src, [uniform_gambler(), build_parity_gambler(2)], 20_000)
     assert both.aggregate <= weak.aggregate
-    assert both.aggregate == min(e.upper_bound for e in both.entries)
+    assert both.aggregate == min(upper_bound(r) for r in both.records)
 
 
 def test_dimension_report_jsonl_objects():

@@ -209,6 +209,19 @@ def test_rounding_away_from_half_breaks_the_bounds(monkeypatch, eps, expected):
     assert outcome(audit) == expected
 
 
+@pytest.mark.parametrize("eps, expected", [
+    (Fraction(1, 10), (None, (None, 3), None, None)),
+    (Fraction(1, 2), (None, (None, 5), 20, None)),
+])
+def test_the_second_shadow_can_fail_first(monkeypatch, eps, expected):
+    """The pair above in the other order: component 2's shadow breaks."""
+    monkeypatch.setattr(constructions, "round_dyadic", _round_away_from_half)
+    g1 = random_valid_gambler(5, 1)
+    g2 = random_valid_gambler(4, 2)
+    audit = assert_audits_agree(g1, g2, eps, lambda: prng_source(3), 300)
+    assert outcome(audit) == expected
+
+
 def _count_exact_decisions(monkeypatch):
     calls = {"shadow": 0, "sum": 0}
 

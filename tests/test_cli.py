@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from galelab import cli
+from galelab.constructions import uniform_gambler
 from galelab.core import load_gambler, gambler_to_json
 from galelab.sequences import f_family, prng_source, read_sequence
 
@@ -108,6 +109,60 @@ def test_verify_rejects_invalid_gambler_file(tmp_path, capsys):
     assert run("verify", "--check", "spec", "--gambler", str(g)) == 1
     out = capsys.readouterr().out
     assert "violation betting[n0]: bet weights sum to 3/4, expected 1" in out
+
+
+def test_a_gambler_path_with_a_colon_is_a_file(tmp_path, monkeypatch):
+    """Only a kind before the first ``:`` makes a shorthand; ``a:b.json``
+    was once read as the unknown kind ``a``."""
+    monkeypatch.chdir(tmp_path)
+    assert run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
+               "--n", "300", "--out", "y.seq") == 0
+    assert run("build-gambler", "--kind", "parity", "--h", "2", "--out", "a:b.json") == 0
+    for ref in ("a:b.json", "./a:b.json", str(tmp_path / "a:b.json")):
+        assert run("simulate", "--gambler", ref, "--seq", "y.seq", "--out", "t.csv") == 0
+        assert run("verify", "--check", "spec", "--gambler", ref) == 0
+
+
+def test_a_mistyped_kind_is_a_missing_file(capsys):
+    assert run("verify", "--check", "spec", "--gambler", "parrity:h=2") == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error: ") and "'parrity:h=2'" in err
+
+
+def _uniform_doc_with_bets(bets):
+    doc = gambler_to_json(uniform_gambler())
+    doc["betting_states"][0]["bets"] = bets
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[]", "not a galelab-gambler-v1 document"),
+    (_uniform_doc_with_bets([None, "1/2"]),
+     "rationals must be exact strings or ints, not None"),
+    (_uniform_doc_with_bets(["1/0", "1"]), "zero denominator in '1/0'"),
+], ids=["array", "null bet", "zero denominator"])
+def test_a_malformed_gambler_file_exits_2_naming_it(tmp_path, capsys, text, reason):
+    """Each once ended in an uncaught traceback."""
+    g = tmp_path / "g.json"
+    g.write_text(text)
+    assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"i/o error: malformed gambler file {g}: {reason}\n"
+
+
+def test_a_huge_head_count_lists_its_violations(tmp_path, capsys):
+    """``k^h`` is never built, nor formatted: this once failed on Python's
+    limit for converting a 30103-digit integer to a string."""
+    g = tmp_path / "g.json"
+    doc = gambler_to_json(uniform_gambler())
+    doc["head_count"] = 100_000
+    g.write_text(json.dumps(doc))
+    assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "violation positional[t0]: move_bits has 0 entries, expected 99999",
+        "violation betting[q0]: transition table has 2 rows, expected k^h = 2^100000"]
 
 
 def test_verify_martingale_rejects_overbetting_gambler_file(tmp_path, capsys):
@@ -647,6 +702,31 @@ def test_a_flag_the_mode_does_not_read_exits_64_before_any_output(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: {flag} is not read by {mode}\n")
     assert sorted(tmp_path.iterdir()) == [seq]
+
+
+# A string where a list of flags belongs was once read as its characters:
+# one s-gale column per digit, or one gambler file per letter.
+@pytest.mark.parametrize("argv, entry", [
+    (("simulate", "--gambler", "parity:h=2", "--seq", "SEQ", "--out", "OUT"),
+     {"sgale": "12"}),
+    (("sweep", "--h", "1", "--n", "100", "--samples", "2", "--out", "OUT"),
+     {"include": "parity:h=1"}),
+    (("estimate-dim", "--seq", "SEQ", "--out", "OUT"), {"gambler": "uniform"}),
+], ids=["sgale", "include", "gambler"])
+def test_a_config_string_for_a_list_option_exits_64_before_any_output(tmp_path, capsys,
+                                                                       argv, entry):
+    seq, cfg = tmp_path / "y.seq", tmp_path / "cfg.json"
+    assert run("gen-seq", "--variant", "F", "--h", "2", "--seed", "1",
+               "--n", "100", "--out", str(seq)) == 0
+    cfg.write_text(json.dumps(entry))
+    argv = [{"SEQ": str(seq), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--config", str(cfg)) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (name, value), = entry.items()
+    assert captured.err.startswith(f"usage error: bad list for --{name}: {value!r}\n")
+    assert sorted(tmp_path.iterdir()) == [cfg, seq]
 
 
 @pytest.mark.parametrize("argv, entry", [

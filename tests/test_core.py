@@ -1,6 +1,8 @@
 """Core types: rationals, bet vectors, gambler validation, capital."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -179,6 +181,51 @@ def test_dangling_transition_target_named_with_code():
     )
     report = validate_gambler(spec)
     assert any("code 1" in v.location for v in report)
+
+
+@pytest.mark.parametrize("changes, messages", [
+    ({"alphabet": Alphabet.from_size(1)},
+     ["alphabet: size 1 < 2", "betting[q0]: bet row has 2 entries, expected 1",
+      "betting[q0]: transition table has 4 rows, expected k^h = 1^2"]),
+    ({"head_count": 0},
+     ["head_count: 0 < 1", "positional[t0]: move_bits has 1 entries, expected -1",
+      "betting[q0]: transition table has 4 rows, expected k^h = 2^0"]),
+    ({"positional": {}},
+     ["positional: no positional states", "initial: t0 't0' unknown"]),
+    ({"betting": {}}, ["betting: no betting states", "initial: q0 'q0' unknown"]),
+    ({"initial_capital": Fraction(0)}, ["initial_capital: 0 is not positive"]),
+    ({"positional": {"t0": PositionalState("t9", (0,))}},
+     ["positional[t0]: successor 't9' is not a state"]),
+    ({"positional": {"t0": PositionalState("t0", (2,))}},
+     ["positional[t0]: move_bits entries must be 0 or 1"]),
+    ({"betting": {"q0": BettingState(ProbVector.uniform(3), ("q0",) * 4)}},
+     ["betting[q0]: bet row has 3 entries, expected 2"]),
+    ({"betting": {"q0": BettingState(ProbVector.uniform(2), ("q0",) * 3)}},
+     ["betting[q0]: transition table has 3 rows, expected k^h = 2^2"]),
+    ({"initial_t": "t9"}, ["initial: t0 't9' unknown"]),
+], ids=["alphabet", "head_count", "no positional", "no betting", "capital",
+        "successor", "move bit", "bet row", "table", "t0"])
+def test_each_violation_is_reported_in_its_words(changes, messages):
+    spec = replace(_tiny_spec(ProbVector.uniform(2)), **changes)
+    assert [str(v) for v in validate_gambler(spec)] == messages
+
+
+def test_a_huge_declared_alphabet_is_validated_without_building_it():
+    """An alphabet is its size: a document declaring a million symbols
+    loads and validates in almost no memory (the symbols were once a
+    million-entry tuple)."""
+    doc = gambler_to_json(uniform_gambler())
+    doc["alphabet_size"] = 10 ** 6
+    tracemalloc.start()
+    try:
+        report = validate_gambler(gambler_from_json(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [str(v) for v in report] == [
+        "betting[q0]: bet row has 2 entries, expected 1000000",
+        "betting[q0]: transition table has 2 rows, expected k^h = 1000000^1"]
+    assert peak < 2 ** 20
 
 
 @settings(max_examples=30, derandomize=True)

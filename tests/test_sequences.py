@@ -1,5 +1,6 @@
 """Primes, derived sequence families, the expansion oracle, and file I/O."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,20 @@ def test_malformed_sequence_file_rejected(tmp_seq):
     tmp_seq.write_bytes(b"\x01\x02")
     with pytest.raises(ValueError, match="header"):
         read_sequence(tmp_seq)
+
+
+@pytest.mark.parametrize("k, w, version, n, payload, message", [
+    (2, 1, 2, 0, b"", "unsupported sequence file version 2"),
+    (4, 1, 1, 0, b"", "malformed header in {path}: width 1 for k=4"),
+    (2, 1, 1, 16, b"\x00", "truncated sequence file {path}"),
+    (3, 2, 1, 1, b"\x03", "symbol index out of range in {path}"),
+], ids=["version", "width", "truncated", "symbol"])
+def test_each_malformed_sequence_file_is_refused_in_its_words(tmp_seq, k, w, version,
+                                                              n, payload, message):
+    tmp_seq.write_bytes(struct.pack("<4sBBHQ", b"GSEQ", k, w, version, n) + payload)
+    with pytest.raises(ValueError) as refused:
+        read_sequence(tmp_seq)
+    assert str(refused.value) == message.format(path=tmp_seq)
 
 
 def test_file_source_exhaustion_names_the_missing_index(tmp_seq):
