@@ -22,6 +22,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -327,7 +328,9 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
 
     Invalid gamblers yield a non-empty report naming each violation and
     its location (state id, and the offending symbol-vector code where
-    relevant); nothing raises.
+    relevant); nothing raises.  Each distinct bet row is checked once
+    (:func:`_row_faults`), so a population's rows cost what its distinct
+    rows cost.
     """
     bad: list[Violation] = []
     k = spec.alphabet.size
@@ -363,13 +366,9 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
             bad.append(Violation(f"betting[{qid}]",
                                  f"bet row has {len(row)} entries, expected {k}"))
         else:
-            if any(w < 0 for w in row.weights):
-                bad.append(Violation(f"betting[{qid}]",
-                                     "negative bet weight"))
-            if row.total() != 1:
-                bad.append(Violation(
-                    f"betting[{qid}]",
-                    f"bet weights sum to {row.total()}, expected 1"))
+            weights = tuple(row.weights)
+            bad += (Violation(f"betting[{qid}]", fault)
+                    for fault in _row_faults(weights, tuple(map(type, weights))))
         if not _is_power(len(st.transitions), k, h):
             bad.append(Violation(
                 f"betting[{qid}]",
@@ -387,6 +386,23 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
         bad.append(Violation("initial", f"q0 {spec.initial_q!r} unknown"))
 
     return ValidationReport(bad)
+
+
+# distinct bet rows whose checks are remembered: a sweep's 1706 rows hold
+# a few dozen distinct vectors
+_ROW_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO)
+def _row_faults(weights: tuple, types: tuple) -> tuple[str, ...]:
+    """The faults of a bet row of the right length, checked once per row
+    value.  ``types``, those of ``weights``, is part of the key: ``0.5``
+    equals ``Fraction(1, 2)`` and hashes alike, but sums differently."""
+    faults = ("negative bet weight",) if any(w < 0 for w in weights) else ()
+    total = sum(weights, Fraction(0))
+    if total != 1:
+        faults += (f"bet weights sum to {total}, expected 1",)
+    return faults
 
 
 def _is_power(rows: int, k: int, h: int) -> bool:
@@ -441,28 +457,46 @@ def gambler_to_json(spec: GamblerSpec, config: dict | None = None) -> dict:
     return doc
 
 
+def _state_id(value, what: str) -> str:
+    if not isinstance(value, str):  # a list or object would reach a dict
+        raise ValueError(f"{what} {value!r} is not a string")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # int() truncates
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def gambler_from_json(doc: dict) -> GamblerSpec:
-    """Rebuild a gambler from its JSON document (shape errors raise)."""
+    """Rebuild a gambler from its JSON document (shape errors raise).
+
+    State ids, successors, transition targets and initial ids must be
+    strings, and the alphabet size, head count and move bits JSON
+    integers; anything else raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError(f"not a {FORMAT_TAG} document")
     positional = {
-        st["id"]: PositionalState(st["next"], tuple(int(b) for b in st["move_bits"]))
+        _state_id(st["id"], "positional state id"): PositionalState(
+            _state_id(st["next"], "successor"),
+            tuple(_integer(b, "move bit") for b in st["move_bits"]))
         for st in doc["positional_states"]
     }
     betting = {
-        st["id"]: BettingState(
+        _state_id(st["id"], "betting state id"): BettingState(
             ProbVector.from_strings(st["bets"]),
-            tuple(st["transitions"]),
+            tuple(_state_id(t, "transition target") for t in st["transitions"]),
         )
         for st in doc["betting_states"]
     }
     return GamblerSpec(
-        alphabet=Alphabet.from_size(int(doc["alphabet_size"])),
-        head_count=int(doc["head_count"]),
+        alphabet=Alphabet.from_size(_integer(doc["alphabet_size"], "alphabet_size")),
+        head_count=_integer(doc["head_count"], "head_count"),
         positional=positional,
         betting=betting,
-        initial_t=doc["initial"]["t"],
-        initial_q=doc["initial"]["q"],
+        initial_t=_state_id(doc["initial"]["t"], "initial t"),
+        initial_q=_state_id(doc["initial"]["q"], "initial q"),
         initial_capital=parse_rational(doc["initial_capital"]),
         name=doc.get("name", ""),
     )

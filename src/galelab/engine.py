@@ -28,6 +28,7 @@ concurrently.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from array import array
@@ -223,17 +224,26 @@ class ExponentEstimate(NamedTuple):
 # compilation and the walk
 # ---------------------------------------------------------------------------
 
-def _positional_orbit(spec: GamblerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Movement bits along the positional orbit from the initial state, as
-    preperiod and cycle arrays with one row per step."""
+def _orbit_moves(spec: GamblerSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Movement bits of each state of the positional orbit from the
+    initial state, in orbit order, and the length of its preperiod."""
     seen: dict[str, int] = {}
     t = spec.initial_t
     while t not in seen:
         seen[t] = len(seen)
         t = spec.positional[t].next_id
-    mu = np.array([spec.positional[s].move_bits for s in seen], dtype=np.int64)
-    mu = mu.reshape(len(seen), spec.head_count - 1)
-    return mu[:seen[t]], mu[seen[t]:]
+    return tuple(spec.positional[s].move_bits for s in seen), seen[t]
+
+
+def _move_arrays(h: int, moves: tuple, pre: int) -> tuple[np.ndarray, np.ndarray]:
+    mu = np.array(moves, dtype=np.int64).reshape(len(moves), h - 1)
+    return mu[:pre], mu[pre:]
+
+
+def _positional_orbit(spec: GamblerSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Movement bits along the positional orbit from the initial state, as
+    preperiod and cycle arrays with one row per step."""
+    return _move_arrays(spec.head_count, *_orbit_moves(spec))
 
 
 class _Orbits(NamedTuple):
@@ -255,12 +265,15 @@ class _Orbits(NamedTuple):
 
     @classmethod
     def of(cls, spec: GamblerSpec) -> _Orbits:
-        """The one-row table of a gambler's orbit."""
-        pre, cyc = _positional_orbit(spec)
-        sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre, cyc]), axis=0)
-        powers = spec.k ** np.arange(spec.head_count - 1, 0, -1)
-        return cls(sums[None], np.array([len(pre)]), np.array([len(cyc)]),
-                   cyc.sum(0)[None], powers[None])
+        """The one-row table of a gambler's orbit.
+
+        Gamblers with one orbit share one table, built once per alphabet
+        size, head count, and movement bits of the preperiod and the
+        cycle with their types (``True``, ``1.0`` and ``1`` are equal and
+        hash alike); its arrays are read-only."""
+        moves, pre = _orbit_moves(spec)
+        types = tuple(map(type, chain.from_iterable(moves)))
+        return _orbit_table(spec.k, spec.head_count, moves, pre, types)
 
     @classmethod
     def stack(cls, tables: list[_Orbits]) -> _Orbits:
@@ -284,14 +297,34 @@ class _Orbits(NamedTuple):
         the preperiod, of the whole cycles and of a partial cycle, read
         off ``sums`` one head at a time; the codes are array gathers.
         """
+        codes = buf[start:stop, None] + np.zeros(len(self.pre), dtype=np.int64)
+        if not self.sums.shape[2]:  # no trailing heads: the leading symbols
+            return codes
         m = np.arange(start, stop)[:, None]
         cycles = np.maximum(m - self.pre, 0) // self.cyc
         flat = m - cycles * self.cyc + np.arange(len(self.pre)) * self.sums.shape[1]
-        codes = buf[start:stop, None] + np.zeros(len(self.pre), dtype=np.int64)
         for i in range(self.sums.shape[2]):
             trailing = self.sums[..., i].ravel()[flat] + cycles * self.per_cycle[:, i]
             codes += buf[trailing] * self.powers[:, i]
         return codes
+
+
+# distinct orbits whose tables are kept: the sweeps' populations share
+# one orbit at h = 1 and a few dozen at h = 2
+_ORBIT_MEMO = 256
+
+
+@functools.lru_cache(maxsize=_ORBIT_MEMO, typed=True)
+def _orbit_table(k: int, h: int, moves: tuple, pre: int, types: tuple) -> _Orbits:
+    """The one-row orbit table of :meth:`_Orbits.of`, with read-only arrays."""
+    pre_bits, cyc = _move_arrays(h, moves, pre)
+    sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre_bits, cyc]), axis=0)
+    powers = k ** np.arange(h - 1, 0, -1)
+    table = _Orbits(sums[None], np.array([len(pre_bits)]), np.array([len(cyc)]),
+                    cyc.sum(0)[None], powers[None])
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _compile_betting(spec: GamblerSpec):
@@ -324,17 +357,39 @@ class CompiledGambler(NamedTuple):
     orbit: _Orbits
 
 
+# distinct bet rows whose fair factors are kept, as for validation
+_ROW_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_ROW_MEMO, typed=True)
+def _fair_row(k: int, weights: tuple, types: tuple) -> tuple[tuple, tuple[float, ...]]:
+    """The fair factors ``k * w`` of a bet row and their ``log2_fraction``
+    values, computed once per row value.  ``types``, those of ``weights``,
+    is part of the key: ``0.5`` equals ``Fraction(1, 2)`` and hashes alike,
+    but their products differ."""
+    factors = tuple(k * w for w in weights)
+    return factors, tuple(map(log2_fraction, factors))
+
+
 def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
-    """Validate a gambler and flatten it; an invalid one raises ``ValueError``."""
+    """Validate a gambler and flatten it; an invalid one raises ``ValueError``.
+
+    The work grows with a population's distinct parts, not its gamblers:
+    each distinct bet row is checked and turned into fair factors and
+    their logs once (``core._row_faults``, :func:`_fair_row`), and each
+    distinct orbit into one shared read-only table (:meth:`_Orbits.of`).
+    Every gambler gets its own ``factors`` lists."""
     report = validate_gambler(spec)
     if not report.ok:
         raise ValueError(f"invalid gambler {spec.label()}: {report}")
     k = spec.k
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
-    factors = [[k * w for w in bets.weights] for bets in bet_rows]
-    next_state = [[-1 if fs[code % k] == 0 else t for code, t in enumerate(row)]
-                  for row, fs in zip(trans, factors)]
-    log_rows = np.array([[log2_fraction(f) for f in fs] for fs in factors])
+    fair = [_fair_row(k, bets.weights, tuple(map(type, bets.weights))) for bets in bet_rows]
+    # a factor's log2 is -inf exactly where the factor is 0
+    next_state = [[-1 if logs[code % k] == BANKRUPT_LOG2 else t for code, t in enumerate(row)]
+                  for row, (_, logs) in zip(trans, fair)]
+    factors = [list(fs) for fs, _ in fair]
+    log_rows = np.array([logs for _, logs in fair])
     return CompiledGambler(k, spec.head_count, spec.initial_capital,
                            q_index[spec.initial_q], q_ids, factors, next_state,
                            log_rows, _Orbits.of(spec))
@@ -392,9 +447,9 @@ def _tables(gamblers: Iterable[CompiledGambler]) -> _Tables:
     next_flat, log_flat, start, row_widths = array("q"), array("d"), array("q"), array("q")
     for g in gamblers:
         width, base = g.k ** g.head_count, len(next_flat)  # codes per betting state
-        for row in g.next_state:
+        for row, logs in zip(g.next_state, g.log_rows.tolist()):
             next_flat.extend(-1 if t < 0 else base + t * width for t in row)
-        log_flat.extend(np.tile(g.log_rows, width // g.k).ravel().tolist())
+            log_flat.extend(logs * (width // g.k))  # code c bets on symbol c % k
         row_widths.extend([width] * len(g.next_state))
         start.append(base + g.q0 * width)
     bankrupt, widest = len(next_flat), max(row_widths, default=1)
@@ -750,11 +805,12 @@ def window_exponents(log2_caps: np.ndarray, k: int,
     m = log2_caps.shape[0]
     if m == 0:
         raise ValueError("empty trace")
-    if prefix_lengths is None:
-        prefix_lengths = np.arange(1, m + 1, dtype=np.float64)
     start = _window_start(m)
-    top, bottom = _window_extremes(log2_caps[start:].astype(np.float64),
-                                   prefix_lengths[start:], k)
+    if prefix_lengths is None:  # the window's own lengths only
+        lengths = np.arange(start + 1, m + 1, dtype=np.float64)
+    else:
+        lengths = prefix_lengths[start:]
+    top, bottom = _window_extremes(log2_caps[start:].astype(np.float64), lengths, k)
     return ExponentEstimate(float(top), float(bottom))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from galelab import cli
-from galelab.constructions import uniform_gambler
+from galelab.constructions import build_parity_gambler, uniform_gambler
 from galelab.core import load_gambler, gambler_to_json
 from galelab.sequences import f_family, prng_source, read_sequence
 
@@ -146,6 +146,47 @@ def test_a_malformed_gambler_file_exits_2_naming_it(tmp_path, capsys, text, reas
     """Each once ended in an uncaught traceback."""
     g = tmp_path / "g.json"
     g.write_text(text)
+    assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"i/o error: malformed gambler file {g}: {reason}\n"
+
+
+def _parity_doc_with(change):
+    doc = gambler_to_json(build_parity_gambler(1))
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (_parity_doc_with(lambda d: d["initial"].update(t=["x"])),
+     "initial t ['x'] is not a string"),
+    (_parity_doc_with(lambda d: d["betting_states"][0]["transitions"].__setitem__(0, ["q0"])),
+     "transition target ['q0'] is not a string"),
+], ids=["initial t", "transition target"])
+def test_a_list_where_a_state_id_belongs_is_a_malformed_file(tmp_path, capsys, doc, reason):
+    """Each once ended in "TypeError: unhashable type: 'list'"."""
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(doc))
+    assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"i/o error: malformed gambler file {g}: {reason}\n"
+
+
+@pytest.mark.parametrize("doc, reason", [
+    (_parity_doc_with(lambda d: d.update(alphabet_size=2.9)),
+     "alphabet_size 2.9 is not an integer"),
+    (_parity_doc_with(lambda d: d["positional_states"][0].update(move_bits=[0.7])),
+     "move bit 0.7 is not an integer"),
+    (_parity_doc_with(lambda d: d.update(head_count=True)),
+     "head_count True is not an integer"),
+], ids=["alphabet size", "move bit", "boolean head count"])
+def test_a_float_or_boolean_integer_field_is_a_malformed_file(tmp_path, capsys, doc, reason):
+    """``int()`` once read 2.9 as alphabet size 2 and 0.7 as move bit 0,
+    and the file passed as structurally valid."""
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(doc))
     assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""
