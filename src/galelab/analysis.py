@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,25 +173,22 @@ class SweepBudget:
         }
 
 
-# distinct sampled weights kept as shared objects: 45 at the default
-# denominator bound of 8
-_WEIGHT_MEMO = 4096
+# distinct sampled rows kept as shared objects: 44 for two symbols at the
+# default denominator bound of 8
+_BETS_MEMO = 4096
 
 
-@functools.lru_cache(maxsize=_WEIGHT_MEMO)
-def _weight(p: int, den: int) -> Fraction:
-    """``Fraction(p, den)``, one shared object per value drawn (``2/4`` is
-    the object of ``1/2``): rows of equal weights then hold the same
-    objects, so the memo keys of validation and compilation compare by
-    identity."""
-    common = math.gcd(p, den)
-    return Fraction(p, den) if common == 1 else _weight(p // common, den // common)
+@functools.lru_cache(maxsize=_BETS_MEMO)
+def _bets(den: int, parts: tuple[int, ...]) -> ProbVector:
+    """The row of weights ``p / den`` for ``p`` in ``parts``: one object per
+    row drawn, so every state that draws it shares its analysis."""
+    return ProbVector(tuple(Fraction(p, den) for p in parts))
 
 
 def _random_bets(rng: random.Random, k: int, max_den: int) -> ProbVector:
     den = rng.randint(1, max_den)
     cuts = [0, *sorted(rng.randint(0, den) for _ in range(k - 1)), den]
-    return ProbVector(tuple(_weight(b - a, den) for a, b in zip(cuts, cuts[1:])))
+    return _bets(den, tuple(b - a for a, b in zip(cuts, cuts[1:])))
 
 
 def _sample_gambler(rng: random.Random, h: int, k: int,

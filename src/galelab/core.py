@@ -182,6 +182,11 @@ class ProbVector:
     ``weights[i]`` is the bet weight on symbol index ``i``.  A valid
     vector has non-negative entries summing to exactly 1; zero weights
     are allowed (deterministic all-in bets have a single weight 1).
+
+    :attr:`faults` and :attr:`fair` are computed on first use and kept on
+    the row, which is safe because the weights are immutable numbers
+    (``GamblerSpec``, which holds dicts, caches nothing); from Python 3.12
+    on, threads racing on a fresh row may compute a value twice.
     """
 
     weights: tuple[Fraction, ...]
@@ -207,6 +212,21 @@ class ProbVector:
 
     def total(self) -> Fraction:
         return sum(self.weights, Fraction(0))
+
+    @functools.cached_property
+    def faults(self) -> tuple[str, ...]:
+        """Why this row is not a distribution: a negative weight, a wrong total."""
+        faults = ("negative bet weight",) if any(w < 0 for w in self.weights) else ()
+        total = self.total()
+        if total != 1:
+            faults += (f"bet weights sum to {total}, expected 1",)
+        return faults
+
+    @functools.cached_property
+    def fair(self) -> tuple[tuple, tuple[float, ...]]:
+        """The fair factors ``k * w``, ``k`` the row's length, and their logs."""
+        factors = tuple(len(self) * w for w in self.weights)
+        return factors, tuple(map(log2_fraction, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +348,8 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
 
     Invalid gamblers yield a non-empty report naming each violation and
     its location (state id, and the offending symbol-vector code where
-    relevant); nothing raises.  Each distinct bet row is checked once
-    (:func:`_row_faults`), so a population's rows cost what its distinct
-    rows cost.
+    relevant); nothing raises.  A bet row is checked once
+    (:attr:`ProbVector.faults`), however many states share it.
     """
     bad: list[Violation] = []
     k = spec.alphabet.size
@@ -366,9 +385,7 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
             bad.append(Violation(f"betting[{qid}]",
                                  f"bet row has {len(row)} entries, expected {k}"))
         else:
-            weights = tuple(row.weights)
-            bad += (Violation(f"betting[{qid}]", fault)
-                    for fault in _row_faults(weights, tuple(map(type, weights))))
+            bad += (Violation(f"betting[{qid}]", fault) for fault in row.faults)
         if not _is_power(len(st.transitions), k, h):
             bad.append(Violation(
                 f"betting[{qid}]",
@@ -386,23 +403,6 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
         bad.append(Violation("initial", f"q0 {spec.initial_q!r} unknown"))
 
     return ValidationReport(bad)
-
-
-# distinct bet rows whose checks are remembered: a sweep's 1706 rows hold
-# a few dozen distinct vectors
-_ROW_MEMO = 1024
-
-
-@functools.lru_cache(maxsize=_ROW_MEMO)
-def _row_faults(weights: tuple, types: tuple) -> tuple[str, ...]:
-    """The faults of a bet row of the right length, checked once per row
-    value.  ``types``, those of ``weights``, is part of the key: ``0.5``
-    equals ``Fraction(1, 2)`` and hashes alike, but sums differently."""
-    faults = ("negative bet weight",) if any(w < 0 for w in weights) else ()
-    total = sum(weights, Fraction(0))
-    if total != 1:
-        faults += (f"bet weights sum to {total}, expected 1",)
-    return faults
 
 
 def _is_power(rows: int, k: int, h: int) -> bool:

@@ -235,17 +235,6 @@ def _orbit_moves(spec: GamblerSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(spec.positional[s].move_bits for s in seen), seen[t]
 
 
-def _move_arrays(h: int, moves: tuple, pre: int) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.array(moves, dtype=np.int64).reshape(len(moves), h - 1)
-    return mu[:pre], mu[pre:]
-
-
-def _positional_orbit(spec: GamblerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Movement bits along the positional orbit from the initial state, as
-    preperiod and cycle arrays with one row per step."""
-    return _move_arrays(spec.head_count, *_orbit_moves(spec))
-
-
 class _Orbits(NamedTuple):
     """Positional orbits as padded tables, one row per orbit: every
     trailing-head position of a run is read off this table.
@@ -269,11 +258,8 @@ class _Orbits(NamedTuple):
 
         Gamblers with one orbit share one table, built once per alphabet
         size, head count, and movement bits of the preperiod and the
-        cycle with their types (``True``, ``1.0`` and ``1`` are equal and
-        hash alike); its arrays are read-only."""
-        moves, pre = _orbit_moves(spec)
-        types = tuple(map(type, chain.from_iterable(moves)))
-        return _orbit_table(spec.k, spec.head_count, moves, pre, types)
+        cycle; its arrays are read-only."""
+        return _orbit_table(spec.k, spec.head_count, *_orbit_moves(spec))
 
     @classmethod
     def stack(cls, tables: list[_Orbits]) -> _Orbits:
@@ -315,9 +301,12 @@ _ORBIT_MEMO = 256
 
 
 @functools.lru_cache(maxsize=_ORBIT_MEMO, typed=True)
-def _orbit_table(k: int, h: int, moves: tuple, pre: int, types: tuple) -> _Orbits:
-    """The one-row orbit table of :meth:`_Orbits.of`, with read-only arrays."""
-    pre_bits, cyc = _move_arrays(h, moves, pre)
+def _orbit_table(k: int, h: int, moves: tuple, pre: int) -> _Orbits:
+    """The one-row orbit table of :meth:`_Orbits.of`, with read-only arrays.
+    Move bits of any type become int64; ``typed`` keeps apart a float ``k``,
+    whose ``powers`` would be floats."""
+    mu = np.array(moves, dtype=np.int64).reshape(len(moves), h - 1)
+    pre_bits, cyc = mu[:pre], mu[pre:]
     sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre_bits, cyc]), axis=0)
     powers = k ** np.arange(h - 1, 0, -1)
     table = _Orbits(sums[None], np.array([len(pre_bits)]), np.array([len(cyc)]),
@@ -357,26 +346,12 @@ class CompiledGambler(NamedTuple):
     orbit: _Orbits
 
 
-# distinct bet rows whose fair factors are kept, as for validation
-_ROW_MEMO = 1024
-
-
-@functools.lru_cache(maxsize=_ROW_MEMO, typed=True)
-def _fair_row(k: int, weights: tuple, types: tuple) -> tuple[tuple, tuple[float, ...]]:
-    """The fair factors ``k * w`` of a bet row and their ``log2_fraction``
-    values, computed once per row value.  ``types``, those of ``weights``,
-    is part of the key: ``0.5`` equals ``Fraction(1, 2)`` and hashes alike,
-    but their products differ."""
-    factors = tuple(k * w for w in weights)
-    return factors, tuple(map(log2_fraction, factors))
-
-
 def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
     """Validate a gambler and flatten it; an invalid one raises ``ValueError``.
 
     The work grows with a population's distinct parts, not its gamblers:
-    each distinct bet row is checked and turned into fair factors and
-    their logs once (``core._row_faults``, :func:`_fair_row`), and each
+    each bet row object is checked and turned into fair factors and their
+    logs once (``ProbVector.faults`` and ``ProbVector.fair``), and each
     distinct orbit into one shared read-only table (:meth:`_Orbits.of`).
     Every gambler gets its own ``factors`` lists."""
     report = validate_gambler(spec)
@@ -384,7 +359,7 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
         raise ValueError(f"invalid gambler {spec.label()}: {report}")
     k = spec.k
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
-    fair = [_fair_row(k, bets.weights, tuple(map(type, bets.weights))) for bets in bet_rows]
+    fair = [bets.fair for bets in bet_rows]
     # a factor's log2 is -inf exactly where the factor is 0
     next_state = [[-1 if logs[code % k] == BANKRUPT_LOG2 else t for code, t in enumerate(row)]
                   for row, (_, logs) in zip(trans, fair)]

@@ -347,6 +347,8 @@ def test_fraction_products_do_not_grow_with_the_moving_steps(monkeypatch):
     monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
     g1 = build_variant_gambler(2, "Fprime")
     g2 = build_variant_gambler(2, "Fdoubleprime")
+    # the first audit of g1 and g2 also analyses their bet rows, once
+    averaging_audit(g1, g2, Fraction(1, 10), f_family(2, "Fprime", prng_source(3)), 100)
     counts = []
     for n in (1500, 10_000):
         products[0] = 0

@@ -1,11 +1,13 @@
 """Compilation at the cost of a population's distinct parts.
 
-Bet-row checks, fair factors and orbit tables are memoised on their
-values and the values' types; every compiled gambler must equal what the
-unmemoised expressions give for its very objects, whatever the memos
-held before.
+A bet row is analysed once, on the row itself (``ProbVector.faults`` and
+``ProbVector.fair``); the sampler shares one object per drawn row, and
+orbit tables are memoised on their ints.  Every compiled gambler must
+equal what the unmemoised expressions give for its very objects,
+whatever the memos held before.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galelab
 import galelab.core as core
 import galelab.engine as engine
 from galelab.analysis import SweepBudget, _random_bets, adversarial_sweep
@@ -27,16 +30,19 @@ from galelab.core import (
     log2_fraction,
     validate_gambler,
 )
-from galelab.engine import _positional_orbit, compile_gambler, window_exponents
+from galelab.engine import _orbit_moves, compile_gambler, window_exponents
 from galelab.sequences import f_family, prng_source
 
 from gamblers import random_valid_gambler
 
+# every module-level memo of the package
+MEMOS = [obj for module in vars(galelab).values() if isinstance(module, type(galelab))
+         for obj in vars(module).values() if hasattr(obj, "cache_info")]
+
 
 def _clear_memos():
-    core._row_faults.cache_clear()
-    engine._fair_row.cache_clear()
-    engine._orbit_table.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def _one_state(weights, k: int = 2) -> GamblerSpec:
@@ -59,7 +65,9 @@ def _reference(spec: GamblerSpec):
     logs = np.array([[log2_fraction(f) for f in row] for row in factors])
     nxt = [[-1 if fs[code % k] == 0 else q_index[t] for code, t in enumerate(st.transitions)]
            for st, fs in zip(spec.betting.values(), factors)]
-    pre, cyc = _positional_orbit(spec)
+    moves, pre = _orbit_moves(spec)
+    mu = np.array(moves, dtype=np.int64).reshape(len(moves), spec.head_count - 1)
+    pre, cyc = mu[:pre], mu[pre:]
     sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre, cyc]), axis=0)
     orbit = (sums[None], np.array([len(pre)]), np.array([len(cyc)]), cyc.sum(0)[None],
              (k ** np.arange(spec.head_count - 1, 0, -1))[None])
@@ -83,11 +91,11 @@ def _assert_compiles_as_reference(spec: GamblerSpec):
 def test_a_compile_that_hits_the_memos_equals_the_unmemoised_one(seeds, h):
     specs = [random_valid_gambler(seed, h) for seed in seeds]
     _clear_memos()
-    for spec in specs:  # every spec after the first finds parts in the memos
+    for spec in specs:  # later specs find shared rows and orbits analysed
         _assert_compiles_as_reference(spec)
-    assert engine._fair_row.cache_info().hits > 0
     for spec in specs:  # and all of them a second time
         _assert_compiles_as_reference(spec)
+    assert engine._orbit_table.cache_info().hits >= len(specs)
 
 
 def test_equal_rows_of_other_types_get_their_own_factors():
@@ -139,7 +147,8 @@ def test_a_shared_orbit_table_is_read_only():
 
 
 def test_every_memo_is_bounded():
-    for memo in (core._row_faults, engine._fair_row, engine._orbit_table):
+    assert {memo.__name__ for memo in MEMOS} == {"_orbit_table", "_bets"}
+    for memo in MEMOS:
         assert memo.cache_info().maxsize is not None
 
 
@@ -151,13 +160,76 @@ def test_orbit_codes_without_trailing_heads_are_the_leading_symbols():
     assert (codes == buf[100:357, None]).all()
 
 
-def test_sampled_rows_share_one_object_per_weight():
-    rng = random.Random(4)
-    rows = [_random_bets(rng, 3, 8) for _ in range(200)]
-    objects = {}
-    for w in (w for row in rows for w in row.weights):
-        assert objects.setdefault(w, w) is w
-    assert all(sum(row.weights) == 1 for row in rows)
+def test_equal_sampled_rows_with_one_denominator_are_one_object():
+    rng, probe = random.Random(4), random.Random()
+    rows = {}
+    for _ in range(2000):
+        probe.setstate(rng.getstate())
+        den = probe.randint(1, 8)  # the denominator the row is drawn over
+        row = _random_bets(rng, 2, 8)
+        assert rows.setdefault((den, row.weights), row) is row
+        assert sum(row.weights) == 1
+    assert len(rows) == sum(den + 1 for den in range(1, 9))  # every row, each once
+
+
+def test_a_second_compile_analyses_no_row(monkeypatch):
+    _clear_memos()
+    spec = random_valid_gambler(11, 2)
+    first = compile_gambler(spec)
+    logs = []
+    monkeypatch.setattr(core, "log2_fraction", lambda x: logs.append(x) or log2_fraction(x))
+    again = compile_gambler(spec)
+    assert logs == []
+    assert again.factors == first.factors and np.array_equal(again.log_rows, first.log_rows)
+    fresh = dataclasses.replace(spec, betting={  # equal rows, new objects
+        q: BettingState(ProbVector(tuple(st.bets.weights)), st.transitions)
+        for q, st in spec.betting.items()})
+    assert compile_gambler(fresh).factors == first.factors
+    assert len(logs) == spec.k * len(spec.betting)
+
+
+def _faults(weights) -> tuple[str, ...]:
+    faults = ("negative bet weight",) if any(w < 0 for w in weights) else ()
+    total = sum(weights, Fraction(0))
+    return faults + ((f"bet weights sum to {total}, expected 1",) if total != 1 else ())
+
+
+def _fair(weights):
+    factors = tuple(len(weights) * w for w in weights)
+    return factors, tuple(map(log2_fraction, factors))
+
+
+def _outcome(compute):
+    """The repr of what ``compute()`` returns (it shows each number's
+    type), or the type of what it raises."""
+    try:
+        return repr(compute())
+    except (AttributeError, ValueError) as err:  # a float's log2, a negative one
+        return type(err)
+
+
+def _as(kind: str, w: Fraction):
+    if kind == "float":
+        return float(w)
+    return int(w) if kind == "int" and w.denominator == 1 else w
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(values=st.lists(st.fractions(-1, 2, max_denominator=10), min_size=2, max_size=4),
+       to_one=st.booleans(),
+       kinds=st.lists(st.lists(st.sampled_from(["int", "Fraction", "float"]),
+                               min_size=4, max_size=4), min_size=1, max_size=6))
+def test_a_row_analysis_equals_the_unmemoised_expressions(values, to_one, kinds):
+    """Rows of equal values and mixed types (``1 == Fraction(1) == 1.0``,
+    all hashing alike) each get the analysis of their own numbers."""
+    if to_one:
+        values[-1] = 1 - sum(values[:-1])
+    rows = [tuple(_as(kind, w) for kind, w in zip(ks, values)) for ks in kinds]
+    vectors = [ProbVector(row) for row in rows]
+    for _ in range(2):  # computed, then read back
+        for row, vector in zip(rows, vectors):
+            assert _outcome(lambda: vector.faults) == _outcome(lambda: _faults(row))
+            assert _outcome(lambda: vector.fair) == _outcome(lambda: _fair(row))
 
 
 def test_window_exponents_default_lengths_are_the_prefix_lengths():

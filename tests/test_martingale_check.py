@@ -19,7 +19,7 @@ from galelab.core import (
 )
 from galelab.engine import (
     _compile_betting,
-    _positional_orbit,
+    _orbit_moves,
     check_martingale_property,
 )
 
@@ -31,7 +31,8 @@ def reference_martingale_check(spec: GamblerSpec, depth: int) -> bool:
         raise ValueError("depth > 20 would enumerate too many nodes")
     k = spec.k
     h = spec.head_count
-    mu_pre, mu_cyc = (mu.tolist() for mu in _positional_orbit(spec))
+    moves, pre = _orbit_moves(spec)
+    mu_pre, mu_cyc = moves[:pre], moves[pre:]
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
     path: list[int] = []
 
