@@ -547,11 +547,16 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     chunk of at most ``CHUNK`` steps, a whole number of blocks.  A run's
     last block is padded with code 0 and the padded steps' terms are
     dropped, so liveness is read from the carried capital, ``-inf`` once
-    bankrupt, never from the state after the padding.  Each chunk's log2
-    capitals are a sequential cumulative sum seeded with the carried
-    capital, so every value, and hence every exponent, is the float that
-    :func:`walk` and :func:`window_exponents` give.  Bankrupt gamblers
-    leave the population at the end of a chunk.
+    bankrupt, never from the state after the padding.  Per-step log2
+    capitals are formed only in chunks that reach the trailing window, as
+    a sequential cumulative sum seeded with the carried capital; a chunk
+    before it only carries its capital, one ``np.add.reduce`` down the
+    chunk's columns.  numpy sums pairwise only along the fast axis, so
+    down two or more columns of a C-contiguous array it adds row by row,
+    the float of the cumsum's last row; a single live column is the fast
+    axis and keeps the cumsum.  Every value, and hence every exponent, is
+    thus the float that :func:`walk` and :func:`window_exponents` give.
+    Bankrupt gamblers leave the population at the end of a chunk.
     """
     k = source.alphabet_size
     labels: list[str] = []
@@ -602,8 +607,11 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
             np.take(table, idx, out=caps[:, j])
         caps = caps.reshape(-1, len(live))[:m1 - m0]
         caps[0] += carry
-        np.cumsum(caps, axis=0, out=caps)
-        carry = caps[-1].copy()
+        if m1 <= window and len(live) > 1:  # row by row: the cumsum's last row
+            carry = np.add.reduce(caps, axis=0)
+        else:  # the window reads every step; a lone column would sum pairwise
+            np.cumsum(caps, axis=0, out=caps)
+            carry = caps[-1].copy()
         if m1 > window:
             lengths = np.arange(max(window, m0) + 1, m1 + 1, dtype=np.float64)
             top, bottom = _window_extremes(caps[max(window - m0, 0):],

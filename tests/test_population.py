@@ -23,6 +23,7 @@ from galelab.engine import (
     CHUNK,
     WINDOW_FRAC,
     _tables,
+    _window_start,
     compile_gambler,
     run_martingale,
     walk,
@@ -113,6 +114,45 @@ def test_run_dying_inside_the_window():
     specs = mixed_population() + [single_minded_gambler(0)]
     run = assert_population_matches(specs, array_source(bits), n)
     assert run.limsup_est[-1] == 1.0 and run.liminf_est[-1] == float("-inf")
+
+
+def test_one_live_gambler_over_many_chunks():
+    """A population of one: its single column of capitals must be summed
+    in step order before the window too, never pairwise."""
+    n = 10 * CHUNK + 7
+    assert_population_matches([two_state_swing_gambler()], prng_source(4), n)
+
+
+def test_one_survivor_long_before_the_window():
+    """All-in gamblers die on an early 1; the survivor then walks alone
+    for several chunks before the window."""
+    n = 10 * CHUNK + 7
+    bits = [0] * n
+    bits[5] = 1
+    all_in = single_minded_gambler(0)
+    specs = [all_in, all_in, two_state_swing_gambler(), all_in, all_in]
+    assert _window_start(n) > 5 * CHUNK
+    run = assert_population_matches(specs, array_source(bits), n)
+    assert np.isfinite(run.log2_final).tolist() == [False, False, True, False, False]
+
+
+def test_column_reduce_adds_rows_in_order():
+    """A chunk before the window carries its capital as
+    ``np.add.reduce(caps, axis=0)``, which must be the float of the last
+    row of the chunk's ``np.cumsum``.  numpy sums pairwise only along the
+    fast axis; down axis 0 of a C-contiguous array with two or more
+    columns it adds row by row.  A single contiguous column is itself the
+    fast axis, which numpy sums pairwise, so the walk keeps the cumsum for
+    one live gambler and that shape is left out here."""
+    rng = np.random.default_rng(24)
+    for width in (2, 3, 501):
+        for height in (1, 2, 255, 256):
+            shape = (height, width)
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 10, shape)
+            a[rng.random(shape) < 0.01] = -np.inf
+            a[-1, 1] = -np.inf
+            assert a.flags.c_contiguous
+            assert np.add.reduce(a, axis=0).tobytes() == np.cumsum(a, axis=0)[-1].tobytes()
 
 
 def test_population_bankrupt_at_step_zero():
