@@ -57,9 +57,10 @@ def overbetting_gambler() -> GamblerSpec:
     )
 
 
-def random_valid_gambler(seed: int, h: int = 1) -> GamblerSpec:
-    """Deterministic pseudo-random gambler; always structurally valid."""
+def random_valid_gambler(seed: int, h: int = 1, k: int = 2) -> GamblerSpec:
+    """Deterministic pseudo-random gambler over ``k`` symbols; always
+    structurally valid."""
     rng = random.Random(seed)
     budget = SweepBudget(max_t=3, max_q=3, bet_denominator_max=6, samples=1,
                          seed=seed)
-    return _sample_gambler(rng, h, 2, budget, f"rand_{seed}")
+    return _sample_gambler(rng, h, k, budget, f"rand_{seed}")

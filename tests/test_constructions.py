@@ -286,7 +286,9 @@ def per_code_average(g1, g2, eps):
      Fraction(1, 3)),
     (random_valid_gambler(3, 2), random_valid_gambler(1003, 2), Fraction(1, 10)),
     (random_valid_gambler(6, 1), random_valid_gambler(9, 2), Fraction(1, 2)),
-], ids=["variants h=2", "variants h=3", "non-dyadic 2+2", "non-dyadic 1+2"])
+    (random_valid_gambler(7, 3, k=3), random_valid_gambler(8, 2, k=3), Fraction(1, 10)),
+], ids=["variants h=2", "variants h=3", "non-dyadic 2+2", "non-dyadic 1+2",
+        "non-dyadic k=3 3+2"])
 def test_average_matches_the_per_code_build(g1, g2, eps):
     got = gambler_to_json(average_gamblers(g1, g2, eps))
     assert got == gambler_to_json(per_code_average(g1, g2, eps))
