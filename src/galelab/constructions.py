@@ -38,8 +38,6 @@ from .core import (
     GamblerSpec,
     PositionalState,
     ProbVector,
-    decode_symbol_code,
-    encode_symbol_vector,
     frac_geq_product,
     geq_pow2_scaled,
     log2_ratio,
@@ -98,10 +96,8 @@ def rounding_resolution(eps: Fraction) -> int:
         raise ValueError("eps must be positive")
     half = eps / 2
     a, b = half.numerator, half.denominator
-    for r in range(1, 257):
+    for r in range(2, 257):  # r = 1 loses everything: 1 - 2**0 = 0
         num = 2 ** (r - 1) - 1
-        if num <= 0:
-            continue
         # (num / 2^(r-1)) >= 2^(-a/b)  <=>  num^b * 2^a >= 2^(b*(r-1))
         if num ** b << a >= 1 << (b * (r - 1)):
             return r
@@ -117,7 +113,6 @@ def _block_gambler(block_prime_index: int, trailing_prime_indices: Sequence[int]
     p = nth_prime(block_prime_index)
     trail = [nth_prime(i) for i in trailing_prime_indices]
     heads = len(trail) + 1
-    k = 2
 
     positional = {
         f"t{j}": PositionalState(
@@ -127,37 +122,25 @@ def _block_gambler(block_prime_index: int, trailing_prime_indices: Sequence[int]
         for j in range(p)
     }
 
-    n_codes = k ** heads
-    uniform = ProbVector.uniform(k)
-
-    def same(target: str) -> tuple[str, ...]:
-        return tuple(target for _ in range(n_codes))
-
-    betting: dict[str, BettingState] = {}
-    betting["n0"] = BettingState(uniform, same("n1"))
-    for j in range(1, p - 1):
-        betting[f"n{j}"] = BettingState(uniform, same(f"n{j + 1}"))
-    # the final block step: sample the parity of the trailing symbols and
-    # commit to an all-in bet on it at the boundary
-    sampler = []
-    for code in range(n_codes):
-        vec = decode_symbol_code(code, heads, k)
-        parity = 0
-        for b in vec[:-1]:
-            parity ^= b
-        sampler.append(f"bet{parity}")
-    betting[f"n{p - 1}"] = BettingState(uniform, tuple(sampler))
-    betting["bet0"] = BettingState(ProbVector.point(k, 0), same("n1"))
-    betting["bet1"] = BettingState(ProbVector.point(k, 1), same("n1"))
+    n_codes = 2 ** heads
+    uniform = ProbVector.uniform(2)
+    betting = {f"n{j}": BettingState(uniform, (f"n{j + 1}",) * n_codes)
+               for j in range(p - 1)}
+    # the final block step: sample the parity of the trailing symbols (the
+    # code's bits above the leading symbol's) and commit to an all-in bet
+    # on it at the boundary
+    betting[f"n{p - 1}"] = BettingState(uniform, tuple(
+        f"bet{(code >> 1).bit_count() & 1}" for code in range(n_codes)))
+    betting["bet0"] = BettingState(ProbVector.point(2, 0), ("n1",) * n_codes)
+    betting["bet1"] = BettingState(ProbVector.point(2, 1), ("n1",) * n_codes)
 
     return GamblerSpec(
-        alphabet=Alphabet.from_size(k),
+        alphabet=Alphabet.from_size(2),
         head_count=heads,
         positional=positional,
         betting=betting,
         initial_t="t0",
         initial_q="n0",
-        initial_capital=Fraction(1),
         name=name,
     )
 
@@ -195,32 +178,27 @@ def build_variant_gambler(h: int, variant: str) -> GamblerSpec:
     return _block_gambler(h + 1, idx, f"{tag}_h{h}")
 
 
-def uniform_gambler(k: int = 2) -> GamblerSpec:
-    """One-state gambler betting uniformly forever (capital is constant)."""
+def _one_state(k: int, bets: ProbVector, name: str) -> GamblerSpec:
+    """One-head gambler over ``k`` symbols placing ``bets`` at every step."""
     return GamblerSpec(
         alphabet=Alphabet.from_size(k),
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
-        betting={"q0": BettingState(ProbVector.uniform(k),
-                                    tuple("q0" for _ in range(k)))},
+        betting={"q0": BettingState(bets, ("q0",) * k)},
         initial_t="t0",
         initial_q="q0",
-        name="uniform",
+        name=name,
     )
+
+
+def uniform_gambler(k: int = 2) -> GamblerSpec:
+    """One-state gambler betting uniformly forever (capital is constant)."""
+    return _one_state(k, ProbVector.uniform(k), "uniform")
 
 
 def single_minded_gambler(symbol: int, k: int = 2) -> GamblerSpec:
     """One-state gambler betting everything on one symbol at every step."""
-    return GamblerSpec(
-        alphabet=Alphabet.from_size(k),
-        head_count=1,
-        positional={"t0": PositionalState("t0", ())},
-        betting={"q0": BettingState(ProbVector.point(k, symbol),
-                                    tuple("q0" for _ in range(k)))},
-        initial_t="t0",
-        initial_q="q0",
-        name=f"all_in_{symbol}",
-    )
+    return _one_state(k, ProbVector.point(k, symbol), f"all_in_{symbol}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +245,29 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
     h = h1 + h2 - 1
     r = rounding_resolution(eps)
 
-    # positional product: walk the joint successor orbit, fresh ids
+    # positional product: walk the joint successor orbit once, fresh ids
     t_ids: dict[tuple[str, str], str] = {}
-    positional: dict[str, PositionalState] = {}
     pair = (g1.initial_t, g2.initial_t)
-    order: list[tuple[str, str]] = []
     while pair not in t_ids:
-        t_ids[pair] = f"T{len(order)}"
-        order.append(pair)
+        t_ids[pair] = f"T{len(t_ids)}"
         pair = (g1.positional[pair[0]].next_id, g2.positional[pair[1]].next_id)
-    for this in order:
-        nxt = (g1.positional[this[0]].next_id, g2.positional[this[1]].next_id)
-        positional[t_ids[this]] = PositionalState(
-            next_id=t_ids[nxt],
-            move_bits=(g1.positional[this[0]].move_bits
-                       + g2.positional[this[1]].move_bits),
-        )
+    positional = {
+        tid: PositionalState(
+            next_id=t_ids[g1.positional[t1].next_id, g2.positional[t2].next_id],
+            move_bits=g1.positional[t1].move_bits + g2.positional[t2].move_bits)
+        for (t1, t2), tid in t_ids.items()
+    }
 
-    # betting product with the dyadic ratio, reachable states only
-    n_codes = k ** h
-    q_ids: dict[tuple[str, str, Fraction], str] = {}
+    # betting product with the dyadic ratio, reachable states only.  A
+    # product code lists g1's trailing symbols, then g2's, then the leading
+    # one: per code, g1's code, g2's code (its last h2 digits) and the lead
+    low = k ** h2
+    splits = [(code // low * k + code % k, code % low, code % k)
+              for code in range(k ** h)]
     rows: dict[str, BettingState] = {}
     start = (g1.initial_q, g2.initial_q, Fraction(1, 2))
     queue = [start]
-    q_ids[start] = "Q0"
+    q_ids: dict[tuple[str, str, Fraction], str] = {start: "Q0"}
     while queue:
         q1, q2, alpha = triple = queue.pop()
         beta1 = g1.betting[q1].bets
@@ -301,15 +278,10 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
         # the update reads only the realized leading symbol
         snapped = [round_dyadic(_alpha_step(alpha, beta1[b], beta2[b]), r)
                    for b in range(k)]
+        row1, row2 = g1.betting[q1].transitions, g2.betting[q2].transitions
         targets = []
-        for code in range(n_codes):
-            vec = decode_symbol_code(code, h, k)
-            lead = vec[-1]
-            vec1 = vec[: h1 - 1] + (lead,)
-            vec2 = vec[h1 - 1:]
-            nq1 = g1.betting[q1].transitions[encode_symbol_vector(vec1, k)]
-            nq2 = g2.betting[q2].transitions[encode_symbol_vector(vec2, k)]
-            nxt = (nq1, nq2, snapped[lead])
+        for code1, code2, lead in splits:
+            nxt = (row1[code1], row2[code2], snapped[lead])
             if nxt not in q_ids:
                 q_ids[nxt] = f"Q{len(q_ids)}"
                 queue.append(nxt)
@@ -323,7 +295,6 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
         betting=rows,
         initial_t=t_ids[(g1.initial_t, g2.initial_t)],
         initial_q="Q0",
-        initial_capital=Fraction(1),
         name=f"avg({g1.label()},{g2.label()};eps={eps})",
     )
 
