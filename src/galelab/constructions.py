@@ -407,7 +407,7 @@ def averaging_audit(
     eps: Fraction,
     source: SequenceSource,
     n: int,
-    sum_bound_start: int = 20,
+    sum_bound_start: int | None = None,
 ) -> AveragingAudit:
     """Run the combined gambler and both components exactly and audit.
 
@@ -415,10 +415,13 @@ def averaging_audit(
     directly from the component gamblers (carrying the snapped allocation
     ratio, the component capitals and the two shadows), and through the
     engine on the materialized product gambler; any disagreement is
-    reported.  The direct route's allocation update depends only on the
-    snapped ratio and the two realized factors, which take finitely many
-    values, so it is computed once per distinct step of the audit, and
-    the recurrence over distinct steps is the only per-step loop.
+    reported.  The sum bound is checked from ``sum_bound_start`` on, by
+    default from ``ceil(2 / eps)``, where it follows from the identity and
+    shadow bounds: ``2 d = dt1 + dt2 >= 2**(-eps*n/2) * (d1 + d2)``.
+    The direct route's allocation update depends only on the snapped
+    ratio and the two realized factors, which take finitely many values,
+    so it is computed once per distinct step of the audit, and the
+    recurrence over distinct steps is the only per-step loop.
 
     Exact work is done only where a capital moves: at a step whose factor
     for it is not 1 while it is not yet 0 (zero is absorbing).  Between
@@ -445,6 +448,8 @@ def averaging_audit(
     if n < 0:
         raise ValueError(f"negative prefix length {n}")
     eps = Fraction(eps)
+    if sum_bound_start is None:
+        sum_bound_start = math.ceil(2 / eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
     audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)

@@ -316,9 +316,14 @@ def test_averaging_audit_passes_on_both_variants(variant):
                       audit.first_engine_mismatch)
 
 
-def test_averaging_audit_on_uniform_pair():
+@pytest.mark.parametrize("eps, start", [(Fraction(1, 2), 4), (Fraction(1, 50), 100)],
+                         ids=["1/2", "1/50"])
+def test_averaging_audit_on_uniform_pair(eps, start):
+    """The sum bound is checked from ceil(2 / eps) on, where the identity
+    and shadow bounds imply it; a 20-step start failed this pair at 1/50."""
     g = uniform_gambler()
-    audit = averaging_audit(g, g, Fraction(1, 2), prng_source(4), 300)
+    audit = averaging_audit(g, g, eps, prng_source(4), 300)
+    assert audit.sum_bound_start == start
     assert audit.ok
     assert audit.log2_combined[-1] == 0.0
 
