@@ -66,9 +66,9 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse an exact rational from a ``"num/den"`` (or integer) string."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
-    if not isinstance(text, str):  # a float, null or list
+    if not isinstance(text, str):  # a float, bool, null or list
         raise TypeError(f"rationals must be exact strings or ints, not {text!r}")
     try:
         return Fraction(text.strip())
@@ -354,16 +354,24 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
     bad: list[Violation] = []
     k = spec.alphabet.size
     h = spec.head_count
+    counts = _is_int(k) and _is_int(h)  # the row and move-bit counts need both
 
-    if k < 2:
+    if not _is_int(k):
+        bad.append(Violation("alphabet", f"size {k!r} is not an int"))
+    elif k < 2:
         bad.append(Violation("alphabet", f"size {k} < 2"))
-    if h < 1:
+    if not _is_int(h):
+        bad.append(Violation("head_count", f"{h!r} is not an int"))
+    elif h < 1:
         bad.append(Violation("head_count", f"{h} < 1"))
     if not spec.positional:
         bad.append(Violation("positional", "no positional states"))
     if not spec.betting:
         bad.append(Violation("betting", "no betting states"))
-    if spec.initial_capital <= 0:
+    if not (_is_int(spec.initial_capital) or isinstance(spec.initial_capital, Fraction)):
+        bad.append(Violation("initial_capital",
+                             f"{spec.initial_capital!r} is not an int or Fraction"))
+    elif spec.initial_capital <= 0:
         bad.append(Violation("initial_capital",
                              f"{spec.initial_capital} is not positive"))
 
@@ -371,7 +379,7 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
         if st.next_id not in spec.positional:
             bad.append(Violation(f"positional[{tid}]",
                                  f"successor {st.next_id!r} is not a state"))
-        if len(st.move_bits) != h - 1:
+        if counts and len(st.move_bits) != h - 1:
             bad.append(Violation(
                 f"positional[{tid}]",
                 f"move_bits has {len(st.move_bits)} entries, expected {h - 1}"))
@@ -386,7 +394,7 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
                                  f"bet row has {len(row)} entries, expected {k}"))
         else:
             bad += (Violation(f"betting[{qid}]", fault) for fault in row.faults)
-        if not _is_power(len(st.transitions), k, h):
+        if counts and not _is_power(len(st.transitions), k, h):
             bad.append(Violation(
                 f"betting[{qid}]",
                 f"transition table has {len(st.transitions)} rows, "
@@ -463,8 +471,12 @@ def _state_id(value, what: str) -> str:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):  # int() truncates
+    if not _is_int(value):  # int() truncates
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
 

@@ -141,9 +141,11 @@ def _uniform_doc_with_bets(bets):
     (_uniform_doc_with_bets([None, "1/2"]),
      "rationals must be exact strings or ints, not None"),
     (_uniform_doc_with_bets(["1/0", "1"]), "zero denominator in '1/0'"),
-], ids=["array", "null bet", "zero denominator"])
+    (_uniform_doc_with_bets([True, False]),
+     "rationals must be exact strings or ints, not True"),
+], ids=["array", "null bet", "zero denominator", "boolean bet"])
 def test_a_malformed_gambler_file_exits_2_naming_it(tmp_path, capsys, text, reason):
-    """Each once ended in an uncaught traceback."""
+    """Each once ended in an uncaught traceback, or (boolean bets) passed."""
     g = tmp_path / "g.json"
     g.write_text(text)
     assert run("verify", "--check", "spec", "--gambler", str(g)) == cli.EXIT_IO

@@ -210,6 +210,21 @@ def test_each_violation_is_reported_in_its_words(changes, messages):
     assert [str(v) for v in validate_gambler(spec)] == messages
 
 
+@pytest.mark.parametrize("changes, fault", [
+    ({"head_count": 2.0}, "head_count: 2.0 is not an int"),
+    ({"head_count": True}, "head_count: True is not an int"),
+    ({"alphabet": Alphabet(2.0)}, "alphabet: size 2.0 is not an int"),
+    ({"initial_capital": 1.0}, "initial_capital: 1.0 is not an int or Fraction"),
+], ids=["float head count", "bool head count", "float alphabet", "float capital"])
+def test_an_inexact_number_is_refused_before_the_walk(changes, fault):
+    """Each once passed validation, or raised a ``TypeError`` from it."""
+    spec = replace(_tiny_spec(ProbVector.uniform(2)), **changes)
+    assert [str(v) for v in validate_gambler(spec)] == [fault]
+    with pytest.raises(ValueError) as err:
+        compile_gambler(spec)
+    assert str(err.value) == f"invalid gambler {spec.label()}: {fault}"
+
+
 def test_a_huge_declared_alphabet_is_validated_without_building_it():
     """An alphabet is its size: a document declaring a million symbols
     loads and validates in almost no memory (the symbols were once a
