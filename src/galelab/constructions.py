@@ -219,6 +219,12 @@ def _alpha_step(alpha: Fraction, w1: Fraction, w2: Fraction) -> Fraction:
     return alpha * w1 / den
 
 
+def _row_numbers(g: GamblerSpec) -> dict[str, int]:
+    """Each betting state's bet row as a number, one per distinct row object."""
+    numbers: dict[int, int] = {}
+    return {q: numbers.setdefault(id(st.bets), len(numbers)) for q, st in g.betting.items()}
+
+
 def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> GamblerSpec:
     """Combine two gamblers into one tracking the average of their capitals.
 
@@ -264,24 +270,36 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
     low = k ** h2
     splits = [(code // low * k + code % k, code % low, code % k)
               for code in range(k ** h)]
+    # a product state is (q1, q2, z), its allocation ratio z / 2**r.  Its
+    # mixture row and snapped updates depend only on z and the two bet
+    # rows, so they are built once per distinct triple, and mixtures of
+    # equal weights share one row object, which a compile analyses once
+    grid = 2 ** r
+    number1, number2 = _row_numbers(g1), _row_numbers(g2)
+    mixtures: dict[tuple[int, int, int], tuple[ProbVector, list[int]]] = {}
+    shared: dict[tuple, ProbVector] = {}
     rows: dict[str, BettingState] = {}
-    start = (g1.initial_q, g2.initial_q, Fraction(1, 2))
+    start = (g1.initial_q, g2.initial_q, grid // 2)
     queue = [start]
-    q_ids: dict[tuple[str, str, Fraction], str] = {start: "Q0"}
+    q_ids: dict[tuple[str, str, int], str] = {start: "Q0"}
     while queue:
-        q1, q2, alpha = triple = queue.pop()
-        beta1 = g1.betting[q1].bets
-        beta2 = g2.betting[q2].bets
-        bets = ProbVector(tuple(
-            alpha * beta1[b] + (1 - alpha) * beta2[b] for b in range(k)
-        ))
-        # the update reads only the realized leading symbol
-        snapped = [round_dyadic(_alpha_step(alpha, beta1[b], beta2[b]), r)
-                   for b in range(k)]
+        q1, q2, z = triple = queue.pop()
+        key = (z, number1[q1], number2[q2])
+        if key not in mixtures:
+            alpha = Fraction(z, grid)
+            beta1, beta2 = g1.betting[q1].bets, g2.betting[q2].bets
+            weights = tuple(alpha * beta1[b] + (1 - alpha) * beta2[b] for b in range(k))
+            # the update reads only the realized leading symbol
+            snapped = [round_dyadic(_alpha_step(alpha, beta1[b], beta2[b]), r)
+                       for b in range(k)]
+            kinds = tuple(map(type, weights))  # equal values of other types stay apart
+            mixtures[key] = (shared.setdefault((weights, kinds), ProbVector(weights)),
+                             [x.numerator * (grid // x.denominator) for x in snapped])
+        bets, z_next = mixtures[key]
         row1, row2 = g1.betting[q1].transitions, g2.betting[q2].transitions
         targets = []
         for code1, code2, lead in splits:
-            nxt = (row1[code1], row2[code2], snapped[lead])
+            nxt = (row1[code1], row2[code2], z_next[lead])
             if nxt not in q_ids:
                 q_ids[nxt] = f"Q{len(q_ids)}"
                 queue.append(nxt)
@@ -331,19 +349,11 @@ class AveragingAudit:
       the materialized combined gambler: both routes multiply by the same
       factor ``k * w`` at every step at which the capital is nonzero;
 
-    and from ``sum_bound_start`` on, ``d >= 2**(-eps*n) * (d1 + d2)``.
-    Every capital is an exact rational, carried as a normalised
-    (numerator, denominator) pair of ints.  Each check is monotone between
-    the steps at which a capital moves: the capitals are fixed there and
-    both right-hand sides shrink with ``n``, so deciding the checks at
-    the moving steps, at step 1 and at ``sum_bound_start`` finds every
-    earliest violation.  The two bounds are decided on ``log2_ratio`` of
-    those pairs, in float: a margin counts only when it clears
-    ``LOG2_SLACK`` (2**-40) times its scale, the sum of ``1 + |term|``
-    over its log2 terms (``n`` times for the loss exponent).  A zero
-    capital is decided directly, and a margin within that slack exactly
-    by ``frac_geq_product`` / ``geq_pow2_scaled``.  ``first_*`` fields
-    hold the earliest violating step (1-based prefix length) or ``None``.
+    and from ``sum_bound_start`` on, ``d >= 2**(-eps*n) * (d1 + d2)``;
+    ``sum_bound_start`` defaults to ``ceil(2 / eps)``, where the other
+    checks imply it.  :func:`averaging_audit` says how each check is
+    decided.  ``first_*`` fields hold the earliest violating step (1-based
+    prefix length) or ``None``.
     """
 
     eps: Fraction
@@ -353,10 +363,14 @@ class AveragingAudit:
     first_shadow_violation: tuple[int | None, int | None] = (None, None)
     first_sum_bound_violation: int | None = None
     first_engine_mismatch: int | None = None
-    sum_bound_start: int = 20
+    sum_bound_start: int | None = None
     log2_combined: np.ndarray = field(default_factory=lambda: np.empty(0))
     log2_components: tuple[np.ndarray, np.ndarray] = field(
         default_factory=lambda: (np.empty(0), np.empty(0)))
+
+    def __post_init__(self) -> None:
+        if self.sum_bound_start is None:
+            self.sum_bound_start = math.ceil(2 / Fraction(self.eps))
 
     @property
     def ok(self) -> bool:
@@ -391,14 +405,17 @@ def _times(x: Pair, f: Pair) -> Pair:
     return num * fnum, den * fden
 
 
-def _decided(margin: float, scale: float) -> bool | None:
-    """The sign of a float margin when it clears the slack, else ``None``."""
+def _verdicts(margin: np.ndarray, scale: np.ndarray, holds: np.ndarray,
+              fails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where a bound is known to hold and where to fail, per checked step.
+
+    ``holds`` and ``fails`` mark the steps a zero capital decides; at the
+    others the float margin decides when it clears ``LOG2_SLACK`` times
+    its scale.  A step in neither result is a near-tie.
+    """
     slack = LOG2_SLACK * scale
-    if margin > slack:
-        return True
-    if margin < -slack:
-        return False
-    return None
+    floats = ~(holds | fails)
+    return holds | floats & (margin > slack), fails | floats & (margin < -slack)
 
 
 def averaging_audit(
@@ -429,30 +446,39 @@ def averaging_audit(
     ``(1 - 2**(1-r))**n * d_j`` and ``2**(-eps*n) * (d1 + d2)`` only shrink,
     so a bound that holds at a move holds until the next one, and one
     that fails first fails at a move.  The capitals are multiplied, their
-    logs taken and every check decided at the moving steps, at step 1 and
-    at ``sum_bound_start``; the log2 columns hold each value until the
-    next move.  The capitals are multiplied as int pairs (``_times``):
-    ``Fraction``s are built only per distinct step and at near-ties.  The
-    engine route is compared on interned factors, at every step before
-    the combined capital reaches 0.
+    logs taken and the identity tested at the moving steps, at step 1 and
+    at ``sum_bound_start`` (the checked steps); the log2 columns hold each
+    value until the next move.  The capitals are multiplied as int pairs
+    (``_times``): ``Fraction``s are built only per distinct step and at
+    near-ties.  The engine route is compared on interned factors, at every
+    step before the combined capital reaches 0.
 
-    The certified float margin (``LOG2_SLACK``, ``_decided``) is the only
-    screen in front of the exact comparisons, which multiply out in full.
-    It is the one that pays: deciding every bound exactly makes a pair of
-    1e4-step audits of the variant winners several times slower.
-    Only a near-tie reaches ``frac_geq_product`` or ``geq_pow2_scaled``,
-    and there the two sides' log2 values agree to within ``LOG2_SLACK``
-    of the margin's scale, so a second screen on bit lengths would
-    almost never decide.
+    The loop over the checked steps does only what needs Python ints: the
+    products, their ``log2_ratio`` and the identity.  It records the five
+    logs of each checked step, and the shadow and sum bounds are then
+    decided for all checked steps at once, as numpy margins against
+    ``LOG2_SLACK`` times their scales (``_verdicts``), a zero capital
+    read as a ``-inf`` log.  The steps whose margin is within the slack
+    are decided exactly, ``frac_geq_product`` and ``geq_pow2_scaled`` on
+    the capitals of one more pass over the checked steps, in step order
+    and only up to each bound's first violation; the variant winners'
+    audits have none.  This gives the verdicts of the exact comparisons:
+    a margin computed in numpy differs from the same expression in
+    Python floats only where numpy's ``exp2`` and ``log1p`` differ from
+    libm's, by an ulp or a few of a term at most 1, which adds a few u
+    to the 16u times the scale that bounds its error, against a slack of
+    2**13 u times the scale.  So a decided margin has the sign of the
+    exact one, and the first violations are the exact ones.  The float
+    screen is the one that pays: deciding every bound exactly makes a
+    pair of 1e4-step audits of the variant winners several times slower.
     """
     if n < 0:
         raise ValueError(f"negative prefix length {n}")
     eps = Fraction(eps)
-    if sum_bound_start is None:
-        sum_bound_start = math.ceil(2 / eps)
     combined = average_gamblers(g1, g2, eps)
     r = rounding_resolution(eps)
     audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
+    sum_bound_start = audit.sum_bound_start
 
     # every step factor as an id: equal rationals share one, a factor of 1
     # (``_factor``'s None: the step leaves the capital as it is) is ``one``
@@ -547,53 +573,18 @@ def averaging_audit(
     differs = np.flatnonzero(realized(kw_ids, product, zero)[:upto] != ids[trail[:upto], 0])
     audit.first_engine_mismatch = int(differs[0]) + 1 if len(differs) else None
 
-    base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
-    log_loss = log2_ratio(base_num, base_den)
-    eps_float = float(eps)
-
-    def shadow_holds(step: int, dt: Pair, ldt: float, dj: Pair, ldj: float) -> bool:
-        """``dt >= (1 - 2**(1-r))**step * dj``."""
-        if not dj[0]:
-            return True
-        if not dt[0]:
-            return False
-        verdict = _decided(ldt - ldj - step * log_loss,
-                           2 + abs(ldt) + abs(ldj) + step * (1 - log_loss))
-        if verdict is None:
-            return frac_geq_product(Fraction(*dt), base_num ** step,
-                                    base_den ** step, Fraction(*dj))
-        return verdict
-
-    def sum_holds(step: int, d: Pair, ld: float, d1: Pair, ld1: float,
-                  d2: Pair, ld2: float) -> bool:
-        """``d >= 2**(-eps*step) * (d1 + d2)``."""
-        if not (d1[0] or d2[0]):
-            return True
-        if not d[0]:
-            return False
-        hi, lo = max(ld1, ld2), min(ld1, ld2)
-        scale = 4 + abs(ld) + abs(hi) + eps_float * step
-        if lo != BANKRUPT_LOG2:
-            scale += abs(lo)
-        log_sum = hi + math.log1p(2.0 ** (lo - hi)) / math.log(2)
-        verdict = _decided(ld - log_sum + eps_float * step, scale)
-        if verdict is None:
-            return geq_pow2_scaled(Fraction(*d), Fraction(*d1) + Fraction(*d2),
-                                   -eps.numerator * step, eps.denominator)
-        return verdict
-
     checked = moving.any(1)
     checked[:1] = True
     if 1 < sum_bound_start <= n:
         checked[sum_bound_start - 1] = True
     at = np.flatnonzero(checked)
-    masks = moving[at] @ (1 << np.arange(5))  # bit c: capital c moves
-    values = array("d")
+    rows = trail[at].tolist()
+    masks = (moving[at] @ (1 << np.arange(5))).tolist()  # bit c: capital c moves
+    logs = np.empty((len(at), 5))  # log2 of d, d1, d2, dt1, dt2 at each checked step
     d = d1 = d2 = dt1 = dt2 = (1, 1)
     ld = ld1 = ld2 = ldt1 = ldt2 = 0.0
-    identity = sum_bound = s1 = s2 = None
-    for m, j, mask in zip(at.tolist(), trail[at].tolist(), masks.tolist()):
-        step = m + 1
+    identity = None
+    for i, (j, mask) in enumerate(zip(rows, masks)):
         f, f1, f2, ft1, ft2 = factors[j]
         if mask & 1:
             d = _times(d, f)
@@ -613,21 +604,62 @@ def averaging_audit(
         # 2 d == dt1 + dt2, cross-multiplied, where one of them moves
         if (identity is None and mask & 0b11001
                 and 2 * d[0] * dt1[1] * dt2[1] != d[1] * (dt1[0] * dt2[1] + dt2[0] * dt1[1])):
-            identity = step
-        if s1 is None and not shadow_holds(step, dt1, ldt1, d1, ld1):
-            s1 = step
-        if s2 is None and not shadow_holds(step, dt2, ldt2, d2, ld2):
-            s2 = step
-        if (sum_bound is None and step >= sum_bound_start
-                and not sum_holds(step, d, ld, d1, ld1, d2, ld2)):
-            sum_bound = step
-        values.extend((ld, ld1, ld2))
+            identity = int(at[i]) + 1
+        logs[i] = ld, ld1, ld2, ldt1, ldt2
+
+    # the bounds at every checked step: dt_j >= (1 - 2**(1-r))**step * d_j
+    # and, from sum_bound_start on, d >= 2**(-eps*step) * (d1 + d2)
+    base_num, base_den = 2 ** (r - 1) - 1, 2 ** (r - 1)
+    log_loss = log2_ratio(base_num, base_den)
+    steps = at + 1.0
+    broke = logs == BANKRUPT_LOG2  # a zero capital
+    verdicts = []
+    with np.errstate(invalid="ignore"):  # margins between -inf logs
+        for c in (1, 2):
+            ldt, ldj = logs[:, c + 2], logs[:, c]
+            verdicts.append(_verdicts(
+                ldt - ldj - steps * log_loss,
+                2 + np.abs(ldt) + np.abs(ldj) + steps * (1 - log_loss),
+                broke[:, c], broke[:, c + 2] & ~broke[:, c]))
+        log_d, hi, lo = logs[:, 0], logs[:, 1:3].max(1), logs[:, 1:3].min(1)
+        eps_steps = float(eps) * steps
+        scale = (4 + np.abs(log_d) + np.abs(hi) + eps_steps
+                 + np.where(broke[:, 1:3].any(1), 0, np.abs(lo)))
+        log_sum = hi + np.log1p(np.exp2(lo - hi)) / math.log(2)
+        both = broke[:, 1] & broke[:, 2]
+        holds, fails = _verdicts(log_d - log_sum + eps_steps, scale, both, broke[:, 0] & ~both)
+    on = steps >= sum_bound_start
+    verdicts.append((holds | ~on, fails & on))
+
+    # each bound fails first at its first decided failure or at a near-tie
+    # before it that the exact test refutes
+    first = [int(np.argmax(fails)) if fails.any() else len(at) for _, fails in verdicts]
+    near = [set(np.flatnonzero(~(holds | fails)[:stop]).tolist())
+            for (holds, fails), stop in zip(verdicts, first)]
+    exact = (
+        lambda step, c: frac_geq_product(Fraction(*c[3]), base_num ** step,
+                                         base_den ** step, Fraction(*c[1])),
+        lambda step, c: frac_geq_product(Fraction(*c[4]), base_num ** step,
+                                         base_den ** step, Fraction(*c[2])),
+        lambda step, c: geq_pow2_scaled(Fraction(*c[0]), Fraction(*c[1]) + Fraction(*c[2]),
+                                        -eps.numerator * step, eps.denominator),
+    )
+    last = max((max(s) for s in near if s), default=-1)
+    caps = [(1, 1)] * 5
+    for i, (j, mask) in enumerate(zip(rows[:last + 1], masks)):
+        for c in range(5):
+            if mask >> c & 1:
+                caps[c] = _times(caps[c], factors[j][c])
+        for b in range(3):
+            if i in near[b] and i < first[b] and not exact[b](int(at[i]) + 1, caps):
+                first[b] = i
+    s1, s2, sum_bound = (int(at[i]) + 1 if i < len(at) else None for i in first)
 
     audit.first_identity_violation = identity
     audit.first_shadow_violation = (s1, s2)
     audit.first_sum_bound_violation = sum_bound
     held = np.diff(at, append=n)  # steps until the next check
-    columns = np.repeat(np.frombuffer(values).reshape(-1, 3).T, held, axis=1)
+    columns = np.repeat(logs[:, :3].T, held, axis=1)
     audit.log2_combined = columns[0]
     audit.log2_components = (columns[1], columns[2])
     return audit

@@ -353,13 +353,20 @@ def compile_gambler(spec: GamblerSpec) -> CompiledGambler:
     each bet row object is checked and turned into fair factors and their
     logs once (``ProbVector.faults`` and ``ProbVector.fair``), and each
     distinct orbit into one shared read-only table (:meth:`_Orbits.of`).
-    Every gambler gets its own ``factors`` lists."""
+    Every gambler gets its own ``factors`` lists.  A float bet weight,
+    which validation lets through when its row sums to 1, is refused here."""
     report = validate_gambler(spec)
     if not report.ok:
         raise ValueError(f"invalid gambler {spec.label()}: {report}")
     k = spec.k
     q_ids, q_index, trans, bet_rows = _compile_betting(spec)
-    fair = [bets.fair for bets in bet_rows]
+    fair = []
+    for qid, bets in zip(q_ids, bet_rows):
+        try:
+            fair.append(bets.fair)
+        except AttributeError:  # a float has no numerator for log2_fraction
+            raise ValueError(f"invalid gambler {spec.label()}: betting[{qid}]: "
+                             "bet weights must be exact rationals, not floats") from None
     # a factor's log2 is -inf exactly where the factor is 0
     next_state = [[-1 if logs[code % k] == BANKRUPT_LOG2 else t for code, t in enumerate(row)]
                   for row, (_, logs) in zip(trans, fair)]

@@ -40,18 +40,16 @@ from galelab.sequences import f_family, prng_source
 from gamblers import array_source, random_valid_gambler, two_state_swing_gambler
 
 
-def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
-    """The averaging audit on cumulative exact capitals, one step at a time.
+def reference_capitals(g1, g2, eps, source, n):
+    """The cumulative exact capitals ``(d, d1, d2, dt1, dt2)`` after each
+    step, the shadows as ``2 d`` times the unrounded shares.
 
-    Reads ``average_gamblers``, ``round_dyadic`` and ``_alpha_step``
-    through the module, so a patched combinator is audited the same way.
+    Reads ``round_dyadic`` and ``_alpha_step`` through the module, so a
+    patched combinator is followed the same way.
     """
-    eps = Fraction(eps)
-    combined = constructions.average_gamblers(g1, g2, eps)
-    r = rounding_resolution(eps)
+    r = rounding_resolution(Fraction(eps))
     k = g1.k
     buf = source.prefix_array(n)
-    engine_capital = list(run_martingale(combined, source, n, mode="exact").exact_capitals())
     weights = []
     for g in (g1, g2):
         compiled = compile_gambler(g)
@@ -59,18 +57,31 @@ def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
         weights.append([g.betting[compiled.state_ids[q]].bets[int(buf[m])]
                         for m, q in enumerate(states)]
                        + [Fraction(0)] * (n - len(states)))
-
-    audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
     alpha, d, d1, d2 = Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1)
-    loss_num, loss_den = 1, 1
-    log_d, log_d1, log_d2 = np.empty(n), np.empty(n), np.empty(n)
-    for m, (w1, w2) in enumerate(zip(*weights)):
+    for w1, w2 in zip(*weights):
         alpha_hat = constructions._alpha_step(alpha, w1, w2)
         d = d * k * (alpha * w1 + (1 - alpha) * w2)
         d1 = d1 * k * w1
         d2 = d2 * k * w2
-        dt1 = 2 * d * alpha_hat
-        dt2 = 2 * d * (1 - alpha_hat)
+        yield d, d1, d2, 2 * d * alpha_hat, 2 * d * (1 - alpha_hat)
+        alpha = constructions.round_dyadic(alpha_hat, r)
+
+
+def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
+    """The averaging audit on cumulative exact capitals, one step at a time.
+
+    Reads ``average_gamblers`` through the module, as ``reference_capitals``
+    reads the rounding, so a patched combinator is audited the same way.
+    """
+    eps = Fraction(eps)
+    combined = constructions.average_gamblers(g1, g2, eps)
+    r = rounding_resolution(eps)
+    engine_capital = list(run_martingale(combined, source, n, mode="exact").exact_capitals())
+
+    audit = AveragingAudit(eps=eps, r=r, n=n, sum_bound_start=sum_bound_start)
+    loss_num, loss_den = 1, 1
+    log_d, log_d1, log_d2 = np.empty(n), np.empty(n), np.empty(n)
+    for m, (d, d1, d2, dt1, dt2) in enumerate(reference_capitals(g1, g2, eps, source, n)):
         loss_num *= 2 ** (r - 1) - 1
         loss_den *= 2 ** (r - 1)
         step = m + 1
@@ -91,7 +102,6 @@ def reference_audit(g1, g2, eps, source, n, sum_bound_start=20):
         log_d[m] = log2_fraction(d)
         log_d1[m] = log2_fraction(d1)
         log_d2[m] = log2_fraction(d2)
-        alpha = constructions.round_dyadic(alpha_hat, r)
     audit.log2_combined = log_d
     audit.log2_components = (log_d1, log_d2)
     return audit
@@ -262,6 +272,78 @@ def test_infinite_slack_takes_the_exact_path_everywhere(monkeypatch, fault):
     assert audit.ok is not fault
     assert calls["shadow"] > 0
     assert 0 < calls["sum"] <= n - start + 1 or fault   # the faulty d dies at 20
+
+
+def _margin_ratios(g1, g2, eps, source, n, start):
+    """Per bound (the two shadows, then the sum), the checked steps whose
+    bound the float margin may decide, each with its margin over its
+    scale, from the reference's capitals: a step is checked where a
+    capital changes, at step 1 and at ``start``, and a zero capital
+    decides its bounds directly."""
+    r = rounding_resolution(eps)
+    log_loss = log2_fraction(Fraction(2 ** (r - 1) - 1, 2 ** (r - 1)))
+    ratios = ([], [], [])
+    previous = None
+    for m, caps in enumerate(reference_capitals(g1, g2, eps, source, n)):
+        step = m + 1
+        if caps == previous and step not in (1, start):
+            continue
+        previous = caps
+        ld, ld1, ld2, ldt1, ldt2 = map(log2_fraction, caps)
+        for b, (ldt, ldj) in enumerate(((ldt1, ld1), (ldt2, ld2))):
+            if ldt != BANKRUPT_LOG2 and ldj != BANKRUPT_LOG2:
+                ratios[b].append((step, (ldt - ldj - step * log_loss)
+                                  / (2 + abs(ldt) + abs(ldj) + step * (1 - log_loss))))
+        if step >= start and ld != BANKRUPT_LOG2 and (caps[1] or caps[2]):
+            scale = 4 + abs(ld) + float(eps) * step + sum(
+                abs(v) for v in (ld1, ld2) if v != BANKRUPT_LOG2)
+            margin = ld - log2_fraction(caps[1] + caps[2]) + float(eps) * step
+            ratios[2].append((step, margin / scale))
+    return ratios
+
+
+@pytest.mark.parametrize("fault, expected", [
+    (False, (None, (None, None), None, None)),
+    (True, (None, (3, None), None, None)),
+])
+def test_a_finite_slack_sends_only_the_near_ties_to_the_exact_tests(
+        monkeypatch, fault, expected):
+    """A slack of 0.01 leaves some checked steps to the exact tests and
+    decides the others in float; the faulty pair's first shadow breaks at
+    a near-tie, which only the exact test refutes.  Each bound is decided
+    exactly at its near-ties up to its first violation, and nowhere else."""
+    if fault:
+        monkeypatch.setattr(constructions, "round_dyadic", _round_away_from_half)
+    slack, eps, n, start = 0.01, Fraction(1, 10), 300, 20
+    r = rounding_resolution(eps)
+    calls = {"shadow": [], "sum": []}
+
+    def shadow(x, a_num, a_den, y):
+        calls["shadow"].append((a_den.bit_length() - 1) // (r - 1))
+        return frac_geq_product(x, a_num, a_den, y)
+
+    def sum_bound(x, y, shift_num, shift_den):
+        calls["sum"].append(-shift_num // eps.numerator)
+        return geq_pow2_scaled(x, y, shift_num, shift_den)
+
+    monkeypatch.setattr(constructions, "frac_geq_product", shadow)
+    monkeypatch.setattr(constructions, "geq_pow2_scaled", sum_bound)
+    monkeypatch.setattr(constructions, "LOG2_SLACK", slack)
+    g1, g2 = random_valid_gambler(4, 2), random_valid_gambler(5, 1)
+    audit = assert_audits_agree(g1, g2, eps, lambda: prng_source(3), n, start)
+    assert outcome(audit) == expected
+
+    # each bound up to its first violation, none of its margins on the fence
+    last = [*audit.first_shadow_violation, audit.first_sum_bound_violation]
+    ratios = [[(step, x) for step, x in bound if stop is None or step <= stop]
+              for bound, stop in zip(_margin_ratios(g1, g2, eps, prng_source(3), n, start),
+                                     last)]
+    assert not any(0.99 < abs(x) / slack < 1.01 for bound in ratios for _, x in bound)
+    near = [[step for step, x in bound if abs(x) <= slack] for bound in ratios]
+    assert 0 < sum(map(len, near)) < sum(map(len, ratios))   # some undecided, some not
+    assert sorted(calls["shadow"]) == sorted(near[0] + near[1])
+    assert calls["sum"] == near[2]
+    assert (3 in near[0]) is fault
 
 
 def test_identity_fires_when_the_allocation_ignores_the_bets(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galelab import constructions
+from galelab import constructions, core
 from galelab.constructions import (
+    AveragingAudit,
     average_gamblers,
     averaging_audit,
     build_parity_gambler,
@@ -295,6 +296,23 @@ def test_average_matches_the_per_code_build(g1, g2, eps):
     assert len(got["betting_states"]) > 1
 
 
+@pytest.mark.parametrize("h", [2, 3])
+def test_average_shares_one_row_object_per_distinct_mixture(monkeypatch, h):
+    """Product states betting the same mixture hold one row object, so a
+    compile takes the k logs of each distinct mixture once."""
+    g1 = build_variant_gambler(h, "Fprime")
+    g2 = build_variant_gambler(h, "Fdoubleprime")
+    combined = average_gamblers(g1, g2, Fraction(1, 10))
+    rows = [st.bets for st in combined.betting.values()]
+    distinct = {row.weights for row in rows}
+    assert len({id(row) for row in rows}) == len(distinct) < len(rows)
+    logs = []
+    monkeypatch.setattr(core, "log2_fraction",
+                        lambda x, real=core.log2_fraction: logs.append(x) or real(x))
+    compile_gambler(combined)
+    assert len(logs) == combined.k * len(distinct)
+
+
 def test_average_is_a_fair_gambler():
     g1 = build_variant_gambler(2, "Fprime")
     g2 = build_variant_gambler(2, "Fdoubleprime")
@@ -326,6 +344,14 @@ def test_averaging_audit_on_uniform_pair(eps, start):
     assert audit.sum_bound_start == start
     assert audit.ok
     assert audit.log2_combined[-1] == 0.0
+
+
+@pytest.mark.parametrize("eps, start", [(Fraction(1, 50), 100), (Fraction(1, 10), 20),
+                                        (Fraction(1, 3), 6)])
+def test_an_audit_record_built_directly_starts_its_sum_bound_at_ceil_2_over_eps(eps, start):
+    r = rounding_resolution(eps)
+    assert AveragingAudit(eps=eps, r=r, n=300).sum_bound_start == start
+    assert AveragingAudit(eps=eps, r=r, n=300, sum_bound_start=7).sum_bound_start == 7
 
 
 def test_averaging_audit_refuses_a_negative_length_before_any_work(monkeypatch):

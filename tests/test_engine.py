@@ -1,6 +1,7 @@
 """Simulation, exponents, brute-force identity checks, and speeds."""
 
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from galelab.core import (
     GamblerSpec,
     PositionalState,
     ProbVector,
+    validate_gambler,
 )
 from galelab.constructions import (
     build_parity_gambler,
@@ -152,6 +154,19 @@ def test_bets_cannot_depend_on_the_symbol_they_cover():
 def test_source_alphabet_mismatch_rejected():
     with pytest.raises(ValueError, match="alphabet"):
         run_martingale(uniform_gambler(2), array_source([0, 1, 2], k=3), 3)
+
+
+@pytest.mark.parametrize("mode", ["log2", "exact"])
+def test_float_bet_weights_are_refused_naming_the_state(mode):
+    """Floats that sum to 1 pass validation, but the run refuses them with
+    the state that holds them rather than failing inside ``log2_fraction``."""
+    swing = two_state_swing_gambler()
+    spec = replace(swing, betting={
+        **swing.betting, "b": BettingState(ProbVector((0.5, 0.5)), ("b", "a"))})
+    assert validate_gambler(spec).ok
+    with pytest.raises(ValueError, match=r"^invalid gambler swing: betting\[b\]: "
+                                         "bet weights must be exact rationals, not floats$"):
+        run_martingale(spec, prng_source(5), 100, mode=mode)
 
 
 def test_exact_and_log_runs_agree():
