@@ -36,7 +36,6 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -465,16 +464,19 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
 
     A source over another alphabet raises ``ValueError``.  The gambler's
     :func:`_tables` are those of a population of one, with the stride
-    ``B`` that :func:`walk_population` would give it; the jump table is a
-    plain list whose values are the ``|Q| + 1`` row offsets, one shared
-    int object each.  The scanned codes are read off the orbit table
-    ``GATHER`` steps at a time (a whole number of blocks, the last one
-    padded with code 0), and each block's ``B`` codes are one entry ``v``
-    of a row: the only serial work is one list lookup per block,
-    ``q = jump[q + v]``.  The one-step entry each step reads is then one
-    gather per step of a block, at the blocks' entries; bankruptcy is
-    read off the absorbing row once per gather of codes, and the run ends
-    at the bankrupting step, so padded steps are never counted.  After
+    ``B`` that :func:`walk_population` would give it; the jump table is
+    one plain list per row whose values are the ``|Q| + 1`` row indices,
+    one shared int object each.  The scanned codes are read off the orbit
+    table ``GATHER`` steps at a time (a whole number of blocks, the last
+    one padded with code 0), and each block's ``B`` codes are one entry
+    ``v`` of a row: the only serial work is one list lookup per block,
+    ``q = jump[q][v]``.  The rows before the blocks become one array,
+    through ``bytes`` while they fit a byte, and each block's entry is
+    ``v`` plus its row's offset.  The one-step entry each step reads is
+    then one gather per step of a block, at the blocks' entries;
+    bankruptcy is read off the absorbing row once per gather of codes,
+    and the run ends at the bankrupting step, so padded steps are never
+    counted.  After
     the loop the entries give everything else: the visit counts are one
     ``bincount``, the log terms one gather whose sequential cumulative
     sum makes each log2 capital the float a step-by-step running sum
@@ -484,8 +486,9 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     symbols = source.prefix_array(n)
     t, rows, w = _tables([g]), len(g.next_state), g.k ** g.head_count
     stride, size = t.stride, w ** t.stride
-    offsets = np.array([q * size for q in range(rows + 1)], dtype=object)
-    jump, q = offsets[t.jump // size].tolist(), offsets[g.q0]
+    ids = np.arange(rows + 1).astype(object)  # the lists share one int per row
+    jump, q = ids[t.jump // size].reshape(rows + 1, size).tolist(), g.q0
+    packed = (lambda a: np.frombuffer(bytes(a), np.uint8)) if rows < 256 else np.array
     places = w ** np.arange(stride)  # w**j for step j
     entries, end = np.empty(n, dtype=np.int64), n
     span = stride * (GATHER // stride)
@@ -493,15 +496,13 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
         m1 = min(m0 + span, n)
         codes = g.orbit.codes(symbols, m0, m1).ravel()
         codes = np.append(codes, np.zeros(-len(codes) % stride, dtype=np.int64))
-        first = q  # the row before the chunk's first block
         blocks = codes.reshape(-1, stride) @ places  # each block's v
-        after = np.array([q := jump[q + v] for v in memoryview(blocks)], dtype=np.int64)
-        blocks[0] += first  # each block's entry q + v
-        blocks[1:] += after[:-1]
+        before = packed([q] + [q := jump[q][v] for v in memoryview(blocks)])[:-1]
+        blocks += np.multiply(before, size, dtype=np.int64)  # each block's entry
         for j, table in enumerate(t.reads):
             into = entries[m0 + j:m1:stride]
             into[:] = table[blocks[:len(into)]]
-        if q == offsets[rows]:  # the first entry in the absorbing row ends the run
+        if q == rows:  # the first entry in the absorbing row ends the run
             dead = np.flatnonzero(entries[m0:m1] >= t.bankrupt)
             end = m0 + int(dead[0]) if len(dead) else m1
             break
@@ -949,9 +950,22 @@ def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
-def _float_reprs(col: np.ndarray, template: str) -> list[str]:
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal text of each non-negative int64 of ``values``, one row
+    of ASCII bytes each, right-aligned and padded on the left with NUL."""
+    places = 10 ** np.arange(len(str(int(values.max(initial=0)))) - 1, -1, -1)[:, None]
+    digits, rest = np.empty((len(places), len(values)), dtype=np.uint8), values
+    for row in digits[::-1]:  # one divmod by 10 per place, the ones first
+        rest, row[:] = np.divmod(rest, 10)
+    digits += ord("0")
+    digits[:-1] *= values >= places[:-1]  # NUL for a leading zero; the ones stay
+    return digits.T
+
+
+def _cells(col: np.ndarray, template: str) -> np.ndarray:
     """``template.format(x)`` for each value ``x`` of the float64 array
-    ``col``, where ``template`` formats ``x`` as ``{!r}``.
+    ``col``, where ``template`` formats ``x`` as ``{!r}``: one row of ASCII
+    bytes each, padded on the right with NUL.
 
     Values are grouped by bit pattern, so the template is formatted once
     per distinct pattern and ``-0.0`` keeps its sign; a gale at its
@@ -959,23 +973,8 @@ def _float_reprs(col: np.ndarray, template: str) -> list[str]:
     ``CSV_ROWS``.
     """
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(template.format, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-_THREE_DIGITS = [f"{i:03d}" for i in range(1000)]
-
-
-def _consecutive_texts(first: int, count: int) -> list[str]:
-    """``str(m)`` for ``m`` in ``range(first, first + count)``, ``m >= 0``:
-    below 1000 one ``str`` each, above it the text of ``m // 1000`` once
-    per thousand, joined to each of its three-digit suffixes."""
-    stop = first + count
-    texts = list(map(str, range(first, min(stop, 1000))))
-    for top in range(max(first, 1000) // 1000, -(-stop // 1000)):
-        low, high = max(first - top * 1000, 0), min(stop - top * 1000, 1000)
-        texts += map(str(top).__add__, _THREE_DIGITS[low:high])
-    return texts
+    texts = np.array(list(map(template.format, bits.view(np.float64).tolist())), dtype=np.bytes_)
+    return texts[inverse].view(np.uint8).reshape(len(col), texts.itemsize)
 
 
 def write_trajectory_csv(trace: RunTrace, out: TextIO,
@@ -987,9 +986,11 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     config, when given, is embedded as a leading comment line so the file
     records how to reproduce it.  The scale-``s`` columns are
     :func:`sgale_log2` of the ``log2_capital`` column.  Rows are
-    formatted ``CSV_ROWS`` at a time, each float column from its distinct
-    values, and written as one string per block, so beyond the trace's
-    log2 column the writer's memory does not grow with the trace.
+    formatted ``CSV_ROWS`` at a time into one byte matrix with a
+    NUL-padded row per CSV row, :func:`_digits` of the lengths beside
+    :func:`_cells` of each float column; the block's text is the matrix
+    without its NULs, written as one string, so beyond the trace's log2
+    column the writer's memory does not grow with the trace.
     """
     if config is not None:
         out.write("# " + json.dumps(config, sort_keys=True) + "\n")
@@ -1001,8 +1002,5 @@ def write_trajectory_csv(trace: RunTrace, out: TextIO,
     for i in range(0, len(trace.steps), CSV_ROWS):
         lengths, block = trace.steps[i:i + CSV_ROWS] + 1, log2[i:i + CSV_ROWS]
         floats = [block] + [sgale_log2(block, lengths, s, k) for _, s in s_values]
-        consecutive = lengths[-1] - lengths[0] == len(lengths) - 1  # not subsampled
-        columns = [_consecutive_texts(int(lengths[0]), len(lengths)) if consecutive
-                   else map(str, lengths.tolist())]
-        columns += map(_float_reprs, floats, templates)
-        out.write("".join(chain.from_iterable(zip(*columns))))
+        rows = np.hstack([_digits(lengths), *map(_cells, floats, templates)])
+        out.write(rows[rows != 0].tobytes().decode("ascii"))

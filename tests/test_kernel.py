@@ -236,6 +236,41 @@ def test_blocked_walk_ignores_a_bankrupting_padded_tail():
         assert walk(compile_gambler(spec), constant_source(1), n).log2[-1] == n
 
 
+def counter_gambler(states: int, all_in: bool) -> GamblerSpec:
+    """One head over ``states`` betting states in a ring, moving one state
+    on a 0 and two on a 1, with non-dyadic bets; when ``all_in``, the last
+    state bets everything on 0."""
+    bets = [ProbVector((Fraction(1, 3), Fraction(2, 3))),
+            ProbVector((Fraction(3, 5), Fraction(2, 5))), ProbVector.uniform(2)]
+    ids = [f"q{i}" for i in range(states)]
+    betting = {q: BettingState(bets[i % 3], (ids[(i + 1) % states], ids[(i + 2) % states]))
+               for i, q in enumerate(ids)}
+    if all_in:
+        betting[ids[-1]] = BettingState(ProbVector.point(2, 0), betting[ids[-1]].transitions)
+    return GamblerSpec(alphabet=Alphabet.from_size(2), head_count=1,
+                       positional={"t0": PositionalState("t0", ())}, betting=betting,
+                       initial_t="t0", initial_q=ids[0])
+
+
+@pytest.mark.parametrize("states", [255, 256, 300])
+def test_walk_matches_reference_past_a_byte_of_rows(states):
+    """The rows before a gather's blocks fit a byte up to 255 betting
+    states and the absorbing row; past that the walk takes the other
+    path.  Both run live, and bankrupt in the second gather."""
+    n = 2 * engine.GATHER + 5
+    rng = random.Random(states)
+    bits = [rng.randrange(2) for _ in range(n)]
+    assert not assert_walk_matches(counter_gambler(states, False), array_source(bits), n)
+    q = 0  # the bankrupting gambler sees a 1 in its last state only past the first gather
+    for m in range(n):
+        if q == states - 1:
+            bits[m] = int(m > engine.GATHER)
+        q = (q + 1 + bits[m]) % states
+    spec = counter_gambler(states, True)
+    assert assert_walk_matches(spec, array_source(bits), n)
+    assert len(walk(compile_gambler(spec), array_source(bits), n).states) > engine.GATHER
+
+
 def test_walk_and_population_pick_the_same_stride():
     fprime, fdoubleprime = (build_variant_gambler(2, v) for v in ("Fprime", "Fdoubleprime"))
     averaged = average_gamblers(fprime, fdoubleprime, Fraction(1, 10))

@@ -7,6 +7,7 @@ block writer must write the same bytes.  The step-by-step product of
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -122,6 +123,36 @@ def test_block_csv_matches_on_a_subsampled_trace(monkeypatch):
     assert_same_csv(trace)
 
 
+@functools.cache
+def non_dyadic_trace():
+    """A live two-head run with distinct non-dyadic log2 capitals, as long
+    as two blocks of rows."""
+    return run_martingale(random_valid_gambler(13, 2), f_family(2, "F", prng_source(4)),
+                          2 * CSV_ROWS)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(boundary=st.sampled_from([10, 1000, 100_000_000]), into=st.integers(2, 9),
+       below=st.lists(st.integers(1, 40), max_size=CSV_ROWS - 2),
+       above=st.lists(st.integers(1, 40), max_size=CSV_ROWS))
+def test_block_csv_matches_on_strictly_increasing_steps(boundary, into, below, above):
+    """Traces whose lengths rise by gaps, at least one of them above 1,
+    and cross a digit-count boundary (9 to 10, 999 to 1000, 99 999 999 to
+    100 000 000) inside their first block."""
+    lengths = boundary - np.cumsum([into, *below])[::-1]
+    lengths = np.concatenate([lengths[lengths >= 1], boundary + np.cumsum([0, *above])])
+    assert 1 <= np.searchsorted(lengths, boundary) < CSV_ROWS
+    trace = non_dyadic_trace()
+    rows = trace.rows._replace(**{name: getattr(trace.rows, name)[:len(lengths)]
+                                  for name in ("states", "symbols", "log2")})
+    assert_same_csv(replace(trace, steps=lengths - 1, rows=rows))
+
+
+def texts(rows):
+    """The text of each NUL-padded row of a byte matrix."""
+    return [row[row != 0].tobytes().decode("ascii") for row in rows]
+
+
 # signed zeros, infinities, NaNs (quiet, negative, with a payload), the
 # smallest and largest subnormals and the extremes of the normal range
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
@@ -137,18 +168,18 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
 def test_block_formatter_is_repr_of_every_value(pool, picks):
     # drawing the block from a small pool makes values repeat
     col = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
-    assert engine._float_reprs(col, "{!r}") == list(map(repr, col.tolist()))
-    assert engine._float_reprs(col, ",{!r}\n") == [f",{x!r}\n" for x in col.tolist()]
+    assert texts(engine._cells(col, "{!r}")) == list(map(repr, col.tolist()))
+    assert texts(engine._cells(col, ",{!r}\n")) == [f",{x!r}\n" for x in col.tolist()]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(first=st.one_of(st.integers(0, 3000), st.integers(0, 10**12)),
        count=st.integers(0, 2 * CSV_ROWS))
 def test_consecutive_lengths_are_their_str(first, count):
-    """The ``n`` column of a trace that is not subsampled: thousands
-    prefixes joined to three-digit suffixes, across every boundary."""
+    """The ``n`` column of a trace that is not subsampled: every length's
+    digits, across every digit-count boundary in the range."""
     want = list(map(str, range(first, first + count)))
-    assert engine._consecutive_texts(first, count) == want
+    assert texts(engine._digits(np.arange(first, first + count, dtype=np.int64))) == want
 
 
 def test_csv_writer_memory_is_flat_in_the_trace_length(tmp_path):
