@@ -476,11 +476,11 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     then one gather per step of a block, at the blocks' entries;
     bankruptcy is read off the absorbing row once per gather of codes,
     and the run ends at the bankrupting step, so padded steps are never
-    counted.  After
-    the loop the entries give everything else: the visit counts are one
-    ``bincount``, the log terms one gather whose sequential cumulative
-    sum makes each log2 capital the float a step-by-step running sum
-    gives, and the betting states the entries divided by ``w = k**h``.
+    counted.  After the loop the entries give everything else: the visit
+    counts are one ``bincount``, the log terms one gather whose
+    sequential cumulative sum makes each log2 capital the float a
+    step-by-step running sum gives, and the betting states the entries
+    divided by ``w = k**h``.
     """
     _check_alphabet(source, g.k)
     symbols = source.prefix_array(n)

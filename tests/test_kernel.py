@@ -236,7 +236,7 @@ def test_blocked_walk_ignores_a_bankrupting_padded_tail():
         assert walk(compile_gambler(spec), constant_source(1), n).log2[-1] == n
 
 
-def counter_gambler(states: int, all_in: bool) -> GamblerSpec:
+def ring_gambler(states: int, all_in: bool) -> GamblerSpec:
     """One head over ``states`` betting states in a ring, moving one state
     on a 0 and two on a 1, with non-dyadic bets; when ``all_in``, the last
     state bets everything on 0."""
@@ -260,13 +260,13 @@ def test_walk_matches_reference_past_a_byte_of_rows(states):
     n = 2 * engine.GATHER + 5
     rng = random.Random(states)
     bits = [rng.randrange(2) for _ in range(n)]
-    assert not assert_walk_matches(counter_gambler(states, False), array_source(bits), n)
+    assert not assert_walk_matches(ring_gambler(states, False), array_source(bits), n)
     q = 0  # the bankrupting gambler sees a 1 in its last state only past the first gather
     for m in range(n):
         if q == states - 1:
             bits[m] = int(m > engine.GATHER)
         q = (q + 1 + bits[m]) % states
-    spec = counter_gambler(states, True)
+    spec = ring_gambler(states, True)
     assert assert_walk_matches(spec, array_source(bits), n)
     assert len(walk(compile_gambler(spec), array_source(bits), n).states) > engine.GATHER
 
