@@ -953,10 +953,14 @@ def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
 def _digits(values: np.ndarray) -> np.ndarray:
     """The decimal text of each non-negative int64 of ``values``, one row
     of ASCII bytes each, right-aligned and padded on the left with NUL."""
-    places = 10 ** np.arange(len(str(int(values.max(initial=0)))) - 1, -1, -1)[:, None]
-    digits, rest = np.empty((len(places), len(values)), dtype=np.uint8), values
-    for row in digits[::-1]:  # one divmod by 10 per place, the ones first
-        rest, row[:] = np.divmod(rest, 10)
+    top = int(values.max(initial=0))
+    places = 10 ** np.arange(len(str(top)) - 1, -1, -1)[:, None]
+    digits = np.empty((len(places), len(values)), dtype=np.uint8)
+    rest = values.astype(np.uint32) if top < 2**32 else values  # 32-bit lanes divide faster
+    for row in digits[::-1]:  # one division by 10 per place, the ones first
+        quotient = rest // 10
+        row[:] = rest - quotient * 10
+        rest = quotient
     digits += ord("0")
     digits[:-1] *= values >= places[:-1]  # NUL for a leading zero; the ones stay
     return digits.T
@@ -965,16 +969,31 @@ def _digits(values: np.ndarray) -> np.ndarray:
 def _cells(col: np.ndarray, template: str) -> np.ndarray:
     """``template.format(x)`` for each value ``x`` of the float64 array
     ``col``, where ``template`` formats ``x`` as ``{!r}``: one row of ASCII
-    bytes each, padded on the right with NUL.
+    bytes each, whose text is the row without its NULs.
 
-    Values are grouped by bit pattern, so the template is formatted once
-    per distinct pattern and ``-0.0`` keeps its sign; a gale at its
-    critical ``s`` takes a few dozen distinct values in a block of
-    ``CSV_ROWS``.
+    Values are grouped by bit pattern, so each distinct pattern is
+    formatted once and ``-0.0`` keeps its sign; a gale at its critical
+    ``s`` takes a few dozen distinct values in a block of ``CSV_ROWS``.
+    An integral value below 1e16 in magnitude, such as every log2 capital
+    of a dyadic gambler, is its sign, :func:`_digits` and ``.0``, which
+    is its ``repr``; ``repr`` formats the rest.
     """
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(template.format, bits.view(np.float64).tolist())), dtype=np.bytes_)
-    return texts[inverse].view(np.uint8).reshape(len(col), texts.itemsize)
+    values = bits.view(np.float64)
+    # from 1e16 up, repr writes whole numbers in exponent form
+    whole = (np.abs(values) < 1e16) & (values == np.trunc(values))
+    prefix, suffix = template.encode().split(b"{!r}")
+    ints = values[whole]
+    digit_texts = np.hstack([
+        np.tile(np.frombuffer(prefix, np.uint8), (len(ints), 1)),
+        np.where(np.signbit(ints), ord("-"), 0).astype(np.uint8)[:, None],
+        _digits(np.abs(ints).astype(np.int64)),
+        np.tile(np.frombuffer(b".0" + suffix, np.uint8), (len(ints), 1))])
+    others = np.array(list(map(template.format, values[~whole].tolist())), dtype=np.bytes_)
+    texts = np.zeros((len(values), max(digit_texts.shape[1], others.itemsize)), np.uint8)
+    texts[whole, :digit_texts.shape[1]] = digit_texts
+    texts[~whole, :others.itemsize] = others.view(np.uint8).reshape(len(others), others.itemsize)
+    return np.take(texts, inverse, axis=0)  # several times faster than texts[inverse]
 
 
 def write_trajectory_csv(trace: RunTrace, out: TextIO,

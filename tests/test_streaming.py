@@ -115,6 +115,23 @@ def test_block_csv_matches_in_exact_mode():
         assert_same_csv(run_martingale(spec, src, CSV_ROWS + 7, mode="exact"))
 
 
+def test_block_csv_matches_on_integral_exact_log2_columns():
+    """Exact-mode log2 columns of dyadic gamblers are whole numbers
+    (``_log2_runs`` of capitals that are powers of 2): one that keeps
+    doubling, and one whose block holds both whole capitals and ``-inf``."""
+    n = 3 * CSV_ROWS // 2
+    live = run_martingale(build_parity_gambler(2), f_family(2, "F", prng_source(4)), n,
+                          mode="exact")
+    bankrupt = run_martingale(build_parity_gambler(2), f_family(2, "Fprime", prng_source(4)),
+                              n, mode="exact")
+    for trace, bankrupts in ((live, False), (bankrupt, True)):
+        log2 = trace.log2_capitals()
+        finite = log2[np.isfinite(log2)]
+        assert len(np.unique(finite)) > 5 and np.all(finite == np.trunc(finite))
+        assert trace.final_capital.is_bankrupt == bankrupts
+        assert (",-inf," in assert_same_csv(trace)) == bankrupts
+
+
 def test_block_csv_matches_on_a_subsampled_trace(monkeypatch):
     monkeypatch.setattr(engine, "TRACE_CAP", CSV_ROWS + 404)
     trace = run_martingale(build_parity_gambler(2), f_family(2, "F", prng_source(4)),
@@ -161,15 +178,42 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(pool=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+# whole numbers across the float64 range: the largest below 1e16 (written
+# as digits), 1e16 and 2^60 (written in exponent form)
+INTEGRAL_FLOATS = st.one_of(
+    st.integers(-2**53, 2**53).map(float),
+    st.integers(-3000, 3000).map(float),
+    st.sampled_from([0.0, -0.0, 9999999999999998.0, -9999999999999998.0, 1e16, -1e16,
+                     2.0**53, 2.0**60, -2.0**60, 1e300]),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pool=st.lists(st.one_of(INTEGRAL_FLOATS, INTEGRAL_FLOATS,
+                               st.sampled_from(SPECIAL_FLOATS), st.floats()),
                      min_size=1, max_size=40),
        picks=st.lists(st.integers(0, 1000), max_size=600))
 def test_block_formatter_is_repr_of_every_value(pool, picks):
+    """Blocks mostly of whole numbers, mixed with non-integral values,
+    infinities and NaNs."""
     # drawing the block from a small pool makes values repeat
     col = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
     assert texts(engine._cells(col, "{!r}")) == list(map(repr, col.tolist()))
     assert texts(engine._cells(col, ",{!r}\n")) == [f",{x!r}\n" for x in col.tolist()]
+
+
+def test_only_whole_numbers_below_1e16_take_the_digit_path(monkeypatch):
+    digits, digit_inputs = engine._digits, []
+
+    def recording_digits(values):
+        digit_inputs.extend(values.tolist())
+        return digits(values)
+
+    monkeypatch.setattr(engine, "_digits", recording_digits)
+    col = np.array([9999999999999998.0, 1e16, 2.0**60, -0.0, 0.0, -3.0, 0.5, math.inf,
+                    -math.inf, math.nan], dtype=np.float64)
+    assert texts(engine._cells(col, ",{!r}")) == [f",{x!r}" for x in col.tolist()]
+    assert sorted(digit_inputs) == [0, 0, 3, 9999999999999998]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -180,6 +224,16 @@ def test_consecutive_lengths_are_their_str(first, count):
     digits, across every digit-count boundary in the range."""
     want = list(map(str, range(first, first + count)))
     assert texts(engine._digits(np.arange(first, first + count, dtype=np.int64))) == want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from([0, 9, 2**32 - 1, 2**32, 2**32 + 1,
+                                                  10**17, 10**18]),
+                                 st.integers(2**32 - 5, 2**32 + 5), st.integers(0, 10**18)),
+                       max_size=50))
+def test_lengths_across_the_32_bit_lanes_are_their_str(values):
+    """``_digits`` divides in 32-bit lanes only while every value fits."""
+    assert texts(engine._digits(np.array(values, dtype=np.int64))) == list(map(str, values))
 
 
 def test_csv_writer_memory_is_flat_in_the_trace_length(tmp_path):
