@@ -97,8 +97,10 @@ CHUNK = 256
 # as one chunk of 500 gamblers: 1 MB at 8 bytes each
 _TABLE_ENTRIES = 2**17
 
-# steps per gather of a single walk's codes and entries: its code and
-# block arrays stay at 32 KB however long the run
+# steps per gather of block values off the orbit tables, in both walks:
+# a single walk gathers its entries as often, so its arrays stay at 32 KB
+# however long the run; a population walk gathers whole chunks for its
+# live gamblers' orbits, 32 KB of codes per orbit
 GATHER = 4096
 
 # nodes per level block of the fair-betting check: a block's states and
@@ -236,13 +238,15 @@ def _orbit_moves(spec: GamblerSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 class _Orbits(NamedTuple):
     """Positional orbits as padded tables, one row per orbit: every
-    trailing-head position of a run is read off this table.
+    trailing-head position of a run is read off this table, and both walks
+    read their block values off it (:meth:`blocks`).
 
     ``sums[o, r]`` is the sum of the first ``r`` movement bits of orbit
     ``o`` (preperiod then one cycle), ``pre``/``cyc`` its preperiod and
-    cycle lengths, ``per_cycle`` its advances per cycle and ``powers`` the
-    place values of its trailing reads in a code.  Orbits with fewer
-    heads are padded with heads that never move and weigh nothing.
+    cycle lengths, ``per_cycle`` its advances per cycle, ``powers`` the
+    place values of its trailing reads in a code and ``width`` its codes
+    per step, ``k**h``.  Orbits with fewer heads are padded with heads
+    that never move and weigh nothing.
     """
 
     sums: np.ndarray
@@ -250,6 +254,7 @@ class _Orbits(NamedTuple):
     cyc: np.ndarray
     per_cycle: np.ndarray
     powers: np.ndarray
+    width: np.ndarray
 
     @classmethod
     def of(cls, spec: GamblerSpec) -> _Orbits:
@@ -264,8 +269,8 @@ class _Orbits(NamedTuple):
     def stack(cls, tables: list[_Orbits]) -> _Orbits:
         """The rows of one-row ``tables`` as one table, zero-padded to the
         longest orbit and the most heads."""
-        count, rows, width = len(tables), *np.max([t.sums.shape[1:] for t in tables], 0)
-        shapes = [(rows, width), (), (), (width,), (width,)]
+        count, rows, heads = len(tables), *np.max([t.sums.shape[1:] for t in tables], 0)
+        shapes = [(rows, heads), (), (), (heads,), (heads,), ()]
         out = cls._make(np.zeros((count, *shape), dtype=np.int64) for shape in shapes)
         for o, table in enumerate(tables):
             for into, a in zip(out, table):
@@ -275,23 +280,34 @@ class _Orbits(NamedTuple):
     def select(self, rows: np.ndarray) -> _Orbits:
         return self._make(a[rows] for a in self)
 
-    def codes(self, buf: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Scanned codes of steps ``start..stop-1``, one column per orbit.
+    def blocks(self, buf: np.ndarray, start: int, stop: int, stride: int) -> np.ndarray:
+        """Block values of steps ``start..stop-1``, one column per orbit.
 
-        The trailing positions before step ``m`` are the movement bits of
-        the preperiod, of the whole cycles and of a partial cycle, read
-        off ``sums`` one head at a time; the codes are array gathers.
+        Step ``m`` scans the code ``c_m = buf[m] + sum_i powers[i] *
+        buf[p_i]``, ``p_i`` the position of trailing head ``i`` before it,
+        and a block of ``stride`` steps has the value ``v = sum_j c_j *
+        width**j``; the last block is padded with code 0.  Before the
+        preperiod ends a head's position is ``sums[m]``; after it, the
+        head's in-cycle prefix sum plus whole cycles times its advances per
+        cycle, one outer sum per orbit over its heads, sliced at the first
+        step's phase in the cycle.  Heads with power 0, the padding of a
+        stacked table, are skipped.
         """
-        codes = buf[start:stop, None] + np.zeros(len(self.pre), dtype=np.int64)
-        if not self.sums.shape[2]:  # no trailing heads: the leading symbols
-            return codes
-        m = np.arange(start, stop)[:, None]
-        cycles = np.maximum(m - self.pre, 0) // self.cyc
-        flat = m - cycles * self.cyc + np.arange(len(self.pre)) * self.sums.shape[1]
-        for i in range(self.sums.shape[2]):
-            trailing = self.sums[..., i].ravel()[flat] + cycles * self.per_cycle[:, i]
-            codes += buf[trailing] * self.powers[:, i]
-        return codes
+        count, orbits = stop - start, len(self.pre)
+        codes = np.zeros((orbits, -(-count // stride) * stride), dtype=np.int64)
+        codes[:, :count] = buf[start:stop]
+        for o in range(orbits):
+            pre, cyc = int(self.pre[o]), int(self.cyc[o])
+            cycles, phase = divmod(max(start - pre, 0), cyc)
+            late = stop - max(start, pre)  # steps past the preperiod
+            rounds = np.arange(cycles, cycles - (-(phase + late) // cyc))
+            for i in np.flatnonzero(self.powers[o]):
+                sums = self.sums[o, :, i]
+                ring = np.add.outer(rounds * self.per_cycle[o, i], sums[pre:pre + cyc])
+                at = np.concatenate([sums[start:min(stop, pre)], ring.ravel()[phase:phase + late]])
+                codes[o, :count] += buf[at] * self.powers[o, i]
+        places = self.width[:, None, None] ** np.arange(stride)[:, None]  # w**j for step j
+        return (codes.reshape(orbits, -1, stride) @ places)[..., 0].T
 
 
 # distinct orbits whose tables are kept: the sweeps' populations share
@@ -309,7 +325,7 @@ def _orbit_table(k: int, h: int, moves: tuple, pre: int) -> _Orbits:
     sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre_bits, cyc]), axis=0)
     powers = k ** np.arange(h - 1, 0, -1)
     table = _Orbits(sums[None], np.array([len(pre_bits)]), np.array([len(cyc)]),
-                    cyc.sum(0)[None], powers[None])
+                    cyc.sum(0)[None], powers[None], np.array([k ** h]))
     for a in table:
         a.flags.writeable = False
     return table
@@ -466,11 +482,11 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     :func:`_tables` are those of a population of one, with the stride
     ``B`` that :func:`walk_population` would give it; the jump table is
     one plain list per row whose values are the ``|Q| + 1`` row indices,
-    one shared int object each.  The scanned codes are read off the orbit
-    table ``GATHER`` steps at a time (a whole number of blocks, the last
-    one padded with code 0), and each block's ``B`` codes are one entry
-    ``v`` of a row: the only serial work is one list lookup per block,
-    ``q = jump[q][v]``.  The rows before the blocks become one array,
+    one shared int object each.  Each block's ``B`` scanned codes are one
+    entry ``v`` of a row, and :meth:`_Orbits.blocks` reads the blocks'
+    ``v`` off the orbit table ``GATHER`` steps at a time (a whole number
+    of blocks, the last one padded with code 0): the only serial work is
+    one list lookup per block, ``q = jump[q][v]``.  The rows before the blocks become one array,
     through ``bytes`` while they fit a byte, and each block's entry is
     ``v`` plus its row's offset.  The one-step entry each step reads is
     then one gather per step of a block, at the blocks' entries;
@@ -489,14 +505,11 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     ids = np.arange(rows + 1).astype(object)  # the lists share one int per row
     jump, q = ids[t.jump // size].reshape(rows + 1, size).tolist(), g.q0
     packed = (lambda a: np.frombuffer(bytes(a), np.uint8)) if rows < 256 else np.array
-    places = w ** np.arange(stride)  # w**j for step j
     entries, end = np.empty(n, dtype=np.int64), n
     span = stride * (GATHER // stride)
     for m0 in range(0, n, span):
         m1 = min(m0 + span, n)
-        codes = g.orbit.codes(symbols, m0, m1).ravel()
-        codes = np.append(codes, np.zeros(-len(codes) % stride, dtype=np.int64))
-        blocks = codes.reshape(-1, stride) @ places  # each block's v
+        blocks = g.orbit.blocks(symbols, m0, m1, stride).ravel()  # each block's v
         before = packed([q] + [q := jump[q][v] for v in memoryview(blocks)])[:-1]
         blocks += np.multiply(before, size, dtype=np.int64)  # each block's entry
         for j, table in enumerate(t.reads):
@@ -551,8 +564,12 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     from the population by :func:`_tables` (1 MB at 8 bytes an entry): the
     sweep's 500 sampled gamblers and planted winner get ``B = 3`` at
     ``h = 1`` and ``B = 2`` at ``h = 2``.  Gamblers with one positional
-    orbit read the same codes, which are computed once per orbit and per
-    chunk of at most ``CHUNK`` steps, a whole number of blocks.  A run's
+    orbit read the same block values ``v``, which :meth:`_Orbits.blocks`
+    reads off the orbit table for the live gamblers' orbits once per
+    gather: as many whole chunks of at most ``CHUNK`` steps, each a whole
+    number of blocks, as fit ``GATHER`` steps, and one chunk if none does.
+    A chunk slices its rows of the gather's values and takes one column
+    per live gambler; a bankrupt gambler's column leaves with it.  A run's
     last block is padded with code 0 and the padded steps' terms are
     dropped, so liveness is read from the carried capital, ``-inf`` once
     bankrupt, never from the state after the padding.  Per-step log2
@@ -569,14 +586,14 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     k = source.alphabet_size
     labels: list[str] = []
     init, orbit_of = array("d"), array("q")
-    orbits: dict[tuple, tuple[int, _Orbits, int]] = {}
+    orbits: dict[tuple, tuple[int, _Orbits]] = {}
 
     def compiled() -> Iterator[CompiledGambler]:
         for spec in specs:
             g = compile_gambler(spec)
             _check_alphabet(source, g.k)
             key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
-            orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit, k ** g.head_count))[0])
+            orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit))[0])
             init.append(log2_fraction(g.initial))
             labels.append(spec.label())
             yield g
@@ -589,8 +606,7 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         raise ValueError("empty trace")
     log2_final, limsup, liminf = out
     step_logs = np.take(logs, reads)
-    all_orbits = _Orbits.stack([o for _, o, _ in orbits.values()])
-    widths = np.array([w for *_, w in orbits.values()], dtype=np.int64)
+    all_orbits = _Orbits.stack([o for _, o in orbits.values()])
     orbit_of = np.array(orbit_of, dtype=np.int64)
     buf = source.prefix_array(n)
     window = _window_start(n)
@@ -598,15 +614,16 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     live = np.arange(len(labels))
     carry = np.array(init)
     hi, lo = np.full(len(live), -math.inf), np.full(len(live), math.inf)
-    used, column = np.unique(orbit_of, return_inverse=True)
     span = stride * (CHUNK // stride)
+    gather = span * max(GATHER // span, 1)
     for m0 in range(0, n, span):
         m1 = min(m0 + span, n)
-        blocks = -(-(m1 - m0) // stride)
-        codes = np.zeros((blocks * stride, len(used)), dtype=np.int64)
-        codes[:m1 - m0] = all_orbits.select(used).codes(buf, m0, m1)
-        places = widths[used] ** np.arange(stride)[:, None]  # w**j for step j
-        idx = (codes.reshape(blocks, stride, len(used)) * places).sum(axis=1)[:, column]
+        if not m0 % gather:  # the block values of the live gamblers' orbits
+            used, column = np.unique(orbit_of[live], return_inverse=True)
+            values = all_orbits.select(used).blocks(buf, m0, min(m0 + gather, n), stride)
+        first = m0 % gather // stride
+        idx = np.take(values[first:first + span // stride], column, axis=1)
+        blocks = len(idx)
         for row in idx:  # row becomes the jump index q + v of its block
             row += q
             q = jump[row]
@@ -629,10 +646,9 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         alive = carry != BANKRUPT_LOG2  # q may have passed the padded codes
         if not alive.all():  # a bankrupt run's last capital, so its liminf, is -inf
             limsup[live[~alive]] = hi[~alive]
-            live, q, carry, hi, lo = (a[alive] for a in (live, q, carry, hi, lo))
+            live, q, carry, hi, lo, column = (a[alive] for a in (live, q, carry, hi, lo, column))
             if not len(live):
                 break
-            used, column = np.unique(orbit_of[live], return_inverse=True)
     log2_final[live], limsup[live], liminf[live] = carry, hi, lo
     return PopulationRun(labels, log2_final, limsup, liminf)
 

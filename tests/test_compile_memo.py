@@ -152,12 +152,13 @@ def test_every_memo_is_bounded():
         assert memo.cache_info().maxsize is not None
 
 
-def test_orbit_codes_without_trailing_heads_are_the_leading_symbols():
+def test_orbit_blocks_without_trailing_heads_are_the_leading_symbols():
     buf = prng_source(3).prefix_array(600)
     table = engine._Orbits.stack([engine._Orbits.of(_one_state(ProbVector.uniform(2).weights))] * 3)
-    codes = table.codes(buf, 100, 357)
-    assert codes.dtype == np.int64 and codes.shape == (257, 3)
-    assert (codes == buf[100:357, None]).all()
+    values = table.blocks(buf, 100, 357, 3)
+    codes = np.append(buf[100:357], 0)  # 257 steps: the last block is padded with code 0
+    assert values.dtype == np.int64 and values.shape == (86, 3)
+    assert (values == (codes.reshape(-1, 3) @ [1, 2, 4])[:, None]).all()
 
 
 def test_equal_sampled_rows_with_one_denominator_are_one_object():

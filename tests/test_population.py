@@ -9,9 +9,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import galelab.engine as engine
 from galelab.analysis import SweepBudget, _sample_gambler, estimate_predim_upper
 from galelab.constructions import (
     build_parity_gambler,
@@ -34,8 +35,11 @@ from galelab.sequences import constant_source, f_family, prng_source
 
 from gamblers import (
     array_source,
+    orbit_gambler,
     overbetting_gambler,
+    planted_runs,
     random_valid_gambler,
+    run_killer,
     two_state_swing_gambler,
 )
 
@@ -253,3 +257,77 @@ def test_bankrupt_at_each_step_of_a_block(name):
 def test_random_mixed_populations_match_single_runs(members, n, seed, h):
     specs = [random_valid_gambler(s, heads) for s, heads in members]
     assert_population_matches(specs, f_family(h, "F", prng_source(seed)), n)
+
+
+# ---------------------------------------------------------------------------
+# block values gathered for whole chunks at a time, across gathers
+# ---------------------------------------------------------------------------
+
+# the shortest run of ones that bankrupts a killer below; the i-th killer
+# of a population needs SHORTEST + i ones in a row
+SHORTEST = 4
+
+
+def gather_steps(specs) -> tuple[int, int]:
+    """Steps per chunk and per gather of block values of the population."""
+    b = _tables(map(compile_gambler, specs)).stride
+    span = b * (CHUNK // b)
+    return span, span * max(engine.GATHER // span, 1)
+
+
+def killers(orbits):
+    """The i-th goes bankrupt on the first run of ``SHORTEST + i`` ones."""
+    return [run_killer(SHORTEST + i, orbit) for i, orbit in enumerate(orbits)]
+
+
+def assert_deaths_match(specs, deaths, n, seed):
+    """The population of ``specs``, led by ``killers``, over bits whose
+    runs of ones bankrupt the first killers at the increasing ``deaths``
+    and no other killer: each dies where planned, every other gambler
+    lives, and the population matches one walk per gambler."""
+    bits = planted_runs(seed, n, deaths, SHORTEST)
+    for killer, death in zip(specs, deaths):
+        assert len(walk(compile_gambler(killer), array_source(bits), n).states) == death + 1
+    run = assert_population_matches(specs, array_source(bits), n)
+    assert np.isfinite(run.log2_final).tolist() == [i >= len(deaths) for i in range(len(specs))]
+
+
+def test_deaths_across_gathers():
+    """Gathers of two chunks over four gathers: killers die in the first
+    chunk, inside a gather, on the last step of a gather and on the first
+    step of the next; survivors with 1-3 heads and preperiods of 0-3
+    steps walk on through every gather after each death."""
+    orbits = [orbit_gambler(seed, h, pre, cyc)
+              for seed, (h, pre, cyc) in enumerate([(2, 3, 2), (3, 1, 5), (1, 0, 1), (3, 2, 3)])]
+    specs = killers(orbits) + [orbit_gambler(10 + seed, 1 + seed % 3, seed % 4, 1 + seed % 5)
+                               for seed in range(12)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GATHER", 2 * CHUNK)
+        span, gather = gather_steps(specs)
+        assert gather == 2 * span
+        assert_deaths_match(specs, [10, gather + span + 40, 2 * gather - 1, 3 * gather],
+                            4 * gather, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), spans=st.integers(2, 3),
+       members=st.lists(st.tuples(st.integers(0, 10_000), st.integers(1, 3),
+                                  st.integers(0, 3), st.integers(1, 5)),
+                        min_size=4, max_size=12))
+def test_random_populations_across_gathers(data, spans, members):
+    """Mixed 1-3-head populations with preperiods over up to four gathers
+    of 2-3 chunks, led by three killers of which up to three die: in the
+    first chunk, inside a gather or next to a gather's edge."""
+    orbits = [orbit_gambler(*member) for member in members]
+    specs = killers(orbits[:3]) + orbits[3:]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "GATHER", spans * CHUNK)
+        span, gather = gather_steps(specs)
+        gathers = data.draw(st.integers(1, 4), label="gathers")
+        n = data.draw(st.integers((gathers - 1) * gather + 1, gathers * gather), label="n")
+        edges = [m + d for m in range(gather, n, gather) for d in (-1, 0, 1)]
+        steps = st.integers(0, n - 1) | st.sampled_from(edges + [0, span // 2])
+        deaths = sorted(data.draw(st.lists(steps, unique=True, max_size=3), label="deaths"))
+        assume(all(SHORTEST + i - 1 <= d < n for i, d in enumerate(deaths)))
+        assume(all(b - a > SHORTEST + 4 for a, b in zip(deaths, deaths[1:])))
+        assert_deaths_match(specs, deaths, n, len(members))
