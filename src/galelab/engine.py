@@ -289,8 +289,8 @@ class _Orbits(NamedTuple):
         width**j``; the last block is padded with code 0.  Before the
         preperiod ends a head's position is ``sums[m]``; after it, the
         head's in-cycle prefix sum plus whole cycles times its advances per
-        cycle, one outer sum per orbit over its heads, sliced at the first
-        step's phase in the cycle.  Heads with power 0, the padding of a
+        cycle, one outer sum per head and orbit, sliced at the first step's
+        phase in the cycle.  Heads with power 0, the padding of a
         stacked table, are skipped.
         """
         count, orbits = stop - start, len(self.pre)
