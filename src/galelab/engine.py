@@ -237,51 +237,35 @@ def _orbit_moves(spec: GamblerSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 class _Orbits(NamedTuple):
-    """Positional orbits as padded tables, one row per orbit: every
-    trailing-head position of a run is read off this table, and both walks
-    read their block values off it (:meth:`blocks`).
+    """A positional orbit as a table: every trailing-head position of a
+    run is read off it, and both walks read their block values off it
+    (:meth:`blocks`).
 
-    ``sums[o, r]`` is the sum of the first ``r`` movement bits of orbit
-    ``o`` (preperiod then one cycle), ``pre``/``cyc`` its preperiod and
-    cycle lengths, ``per_cycle`` its advances per cycle, ``powers`` the
-    place values of its trailing reads in a code and ``width`` its codes
-    per step, ``k**h``.  Orbits with fewer heads are padded with heads
-    that never move and weigh nothing.
+    ``sums[r]`` holds the sums of the first ``r`` movement bits of each
+    trailing head (preperiod then one cycle), ``pre``/``cyc`` are the
+    preperiod and cycle lengths, ``per_cycle`` each head's advances per
+    cycle, ``powers`` the place values of the trailing reads in a code and
+    ``width`` the codes per step, ``k**h``.
     """
 
     sums: np.ndarray
-    pre: np.ndarray
-    cyc: np.ndarray
+    pre: int
+    cyc: int
     per_cycle: np.ndarray
     powers: np.ndarray
-    width: np.ndarray
+    width: int
 
     @classmethod
     def of(cls, spec: GamblerSpec) -> _Orbits:
-        """The one-row table of a gambler's orbit.
+        """The table of a gambler's orbit.
 
         Gamblers with one orbit share one table, built once per alphabet
         size, head count, and movement bits of the preperiod and the
         cycle; its arrays are read-only."""
         return _orbit_table(spec.k, spec.head_count, *_orbit_moves(spec))
 
-    @classmethod
-    def stack(cls, tables: list[_Orbits]) -> _Orbits:
-        """The rows of one-row ``tables`` as one table, zero-padded to the
-        longest orbit and the most heads."""
-        count, rows, heads = len(tables), *np.max([t.sums.shape[1:] for t in tables], 0)
-        shapes = [(rows, heads), (), (), (heads,), (heads,), ()]
-        out = cls._make(np.zeros((count, *shape), dtype=np.int64) for shape in shapes)
-        for o, table in enumerate(tables):
-            for into, a in zip(out, table):
-                into[(o, *map(slice, a.shape[1:]))] = a[0]
-        return out
-
-    def select(self, rows: np.ndarray) -> _Orbits:
-        return self._make(a[rows] for a in self)
-
     def blocks(self, buf: np.ndarray, start: int, stop: int, stride: int) -> np.ndarray:
-        """Block values of steps ``start..stop-1``, one column per orbit.
+        """Block values of steps ``start..stop-1``.
 
         Step ``m`` scans the code ``c_m = buf[m] + sum_i powers[i] *
         buf[p_i]``, ``p_i`` the position of trailing head ``i`` before it,
@@ -289,25 +273,20 @@ class _Orbits(NamedTuple):
         width**j``; the last block is padded with code 0.  Before the
         preperiod ends a head's position is ``sums[m]``; after it, the
         head's in-cycle prefix sum plus whole cycles times its advances per
-        cycle, one outer sum per head and orbit, sliced at the first step's
-        phase in the cycle.  Heads with power 0, the padding of a
-        stacked table, are skipped.
+        cycle, one outer sum per head, sliced at the first step's phase in
+        the cycle.
         """
-        count, orbits = stop - start, len(self.pre)
-        codes = np.zeros((orbits, -(-count // stride) * stride), dtype=np.int64)
-        codes[:, :count] = buf[start:stop]
-        for o in range(orbits):
-            pre, cyc = int(self.pre[o]), int(self.cyc[o])
-            cycles, phase = divmod(max(start - pre, 0), cyc)
-            late = stop - max(start, pre)  # steps past the preperiod
-            rounds = np.arange(cycles, cycles - (-(phase + late) // cyc))
-            for i in np.flatnonzero(self.powers[o]):
-                sums = self.sums[o, :, i]
-                ring = np.add.outer(rounds * self.per_cycle[o, i], sums[pre:pre + cyc])
-                at = np.concatenate([sums[start:min(stop, pre)], ring.ravel()[phase:phase + late]])
-                codes[o, :count] += buf[at] * self.powers[o, i]
-        places = self.width[:, None, None] ** np.arange(stride)[:, None]  # w**j for step j
-        return (codes.reshape(orbits, -1, stride) @ places)[..., 0].T
+        pre, cyc, count = self.pre, self.cyc, stop - start
+        codes = np.zeros(-(-count // stride) * stride, dtype=np.int64)
+        codes[:count] = buf[start:stop]
+        cycles, phase = divmod(max(start - pre, 0), cyc)
+        late = stop - max(start, pre)  # steps past the preperiod
+        rounds = np.arange(cycles, cycles - (-(phase + late) // cyc))
+        for sums, advance, power in zip(self.sums.T, self.per_cycle, self.powers):
+            ring = np.add.outer(rounds * advance, sums[pre:pre + cyc])
+            at = np.concatenate([sums[start:min(stop, pre)], ring.ravel()[phase:phase + late]])
+            codes[:count] += buf[at] * power
+        return codes.reshape(-1, stride) @ self.width ** np.arange(stride)
 
 
 # distinct orbits whose tables are kept: the sweeps' populations share
@@ -317,18 +296,16 @@ _ORBIT_MEMO = 256
 
 @functools.lru_cache(maxsize=_ORBIT_MEMO, typed=True)
 def _orbit_table(k: int, h: int, moves: tuple, pre: int) -> _Orbits:
-    """The one-row orbit table of :meth:`_Orbits.of`, with read-only arrays.
+    """The orbit table of :meth:`_Orbits.of`, with read-only arrays.
     Move bits of any type become int64; ``typed`` keeps apart a float ``k``,
     whose ``powers`` would be floats."""
     mu = np.array(moves, dtype=np.int64).reshape(len(moves), h - 1)
     pre_bits, cyc = mu[:pre], mu[pre:]
     sums = np.cumsum(np.concatenate([np.zeros_like(cyc[:1]), pre_bits, cyc]), axis=0)
-    powers = k ** np.arange(h - 1, 0, -1)
-    table = _Orbits(sums[None], np.array([len(pre_bits)]), np.array([len(cyc)]),
-                    cyc.sum(0)[None], powers[None], np.array([k ** h]))
-    for a in table:
+    per_cycle, powers = cyc.sum(0), k ** np.arange(h - 1, 0, -1)
+    for a in (sums, per_cycle, powers):
         a.flags.writeable = False
-    return table
+    return _Orbits(sums, pre, len(cyc), per_cycle, powers, k ** h)
 
 
 def _compile_betting(spec: GamblerSpec):
@@ -347,7 +324,7 @@ class CompiledGambler(NamedTuple):
     the capital by it.  ``next_state[q][code]`` is ``-1`` where that factor
     is 0 for the leading symbol of ``code`` (the gambler is bankrupt and
     stops), ``log_rows[q, s]`` is ``log2(factors[q][s])`` and ``orbit`` is
-    the one-row table of its positional orbit.
+    the table of its positional orbit.
     """
 
     k: int
@@ -509,7 +486,7 @@ def walk(g: CompiledGambler, source: SequenceSource, n: int) -> Walk:
     span = stride * (GATHER // stride)
     for m0 in range(0, n, span):
         m1 = min(m0 + span, n)
-        blocks = g.orbit.blocks(symbols, m0, m1, stride).ravel()  # each block's v
+        blocks = g.orbit.blocks(symbols, m0, m1, stride)  # each block's v
         before = packed([q] + [q := jump[q][v] for v in memoryview(blocks)])[:-1]
         blocks += np.multiply(before, size, dtype=np.int64)  # each block's entry
         for j, table in enumerate(t.reads):
@@ -565,9 +542,10 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     sweep's 500 sampled gamblers and planted winner get ``B = 3`` at
     ``h = 1`` and ``B = 2`` at ``h = 2``.  Gamblers with one positional
     orbit read the same block values ``v``, which :meth:`_Orbits.blocks`
-    reads off the orbit table for the live gamblers' orbits once per
-    gather: as many whole chunks of at most ``CHUNK`` steps, each a whole
-    number of blocks, as fit ``GATHER`` steps, and one chunk if none does.
+    reads off each live gambler's orbit table, one column per distinct
+    table, once per gather: as many whole chunks of at most ``CHUNK``
+    steps, each a whole number of blocks, as fit ``GATHER`` steps, and
+    one chunk if none does.
     A chunk slices its rows of the gather's values and takes one column
     per live gambler; a bankrupt gambler's column leaves with it.  A run's
     last block is padded with code 0 and the padded steps' terms are
@@ -586,14 +564,13 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
     k = source.alphabet_size
     labels: list[str] = []
     init, orbit_of = array("d"), array("q")
-    orbits: dict[tuple, tuple[int, _Orbits]] = {}
+    orbits: dict[int, tuple[int, _Orbits]] = {}  # by id; holding each table keeps its id unique
 
     def compiled() -> Iterator[CompiledGambler]:
         for spec in specs:
             g = compile_gambler(spec)
             _check_alphabet(source, g.k)
-            key = tuple(a.tobytes() for a in g.orbit)  # powers fix the head count
-            orbit_of.append(orbits.setdefault(key, (len(orbits), g.orbit))[0])
+            orbit_of.append(orbits.setdefault(id(g.orbit), (len(orbits), g.orbit))[0])
             init.append(log2_fraction(g.initial))
             labels.append(spec.label())
             yield g
@@ -606,7 +583,7 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         raise ValueError("empty trace")
     log2_final, limsup, liminf = out
     step_logs = np.take(logs, reads)
-    all_orbits = _Orbits.stack([o for _, o in orbits.values()])
+    tables = [table for _, table in orbits.values()]
     orbit_of = np.array(orbit_of, dtype=np.int64)
     buf = source.prefix_array(n)
     window = _window_start(n)
@@ -620,7 +597,8 @@ def walk_population(specs: Iterable[GamblerSpec], source: SequenceSource,
         m1 = min(m0 + span, n)
         if not m0 % gather:  # the block values of the live gamblers' orbits
             used, column = np.unique(orbit_of[live], return_inverse=True)
-            values = all_orbits.select(used).blocks(buf, m0, min(m0 + gather, n), stride)
+            values = np.stack([tables[o].blocks(buf, m0, min(m0 + gather, n), stride)
+                               for o in used]).T  # rows stack 3-4x faster than columns
         first = m0 % gather // stride
         idx = np.take(values[first:first + span // stride], column, axis=1)
         blocks = len(idx)
@@ -661,12 +639,13 @@ def positions(spec: GamblerSpec, horizons: Iterable[int]) -> list[tuple[int, ...
     """Trailing-head position vectors after each of ``horizons`` steps,
     read off one orbit table in Python integers, so exact for any horizon."""
     o = _Orbits.of(spec)
-    pre, cyc = int(o.pre[0]), int(o.cyc[0])
-    sums, per_cycle = o.sums[0].tolist(), o.per_cycle[0].tolist()
+    sums, per_cycle = o.sums.tolist(), o.per_cycle.tolist()
     out = []
     for n in horizons:
-        cycles = max(n - pre, 0) // cyc
-        out.append(tuple(b + cycles * c for b, c in zip(sums[n - cycles * cyc], per_cycle)))
+        if n < 0:
+            raise ValueError(f"negative horizon {n}")
+        cycles = max(n - o.pre, 0) // o.cyc
+        out.append(tuple(b + cycles * c for b, c in zip(sums[n - cycles * o.cyc], per_cycle)))
     return out
 
 
@@ -940,9 +919,7 @@ def measure_speeds(spec: GamblerSpec) -> SpeedProfile:
     the cycle length.
     """
     o = _Orbits.of(spec)
-    cyc = int(o.cyc[0])
-    speeds = tuple(Fraction(a, cyc) for a in o.per_cycle[0].tolist())
-    return SpeedProfile(speeds, cyc, int(o.pre[0]))
+    return SpeedProfile(tuple(Fraction(a, o.cyc) for a in o.per_cycle.tolist()), o.cyc, o.pre)
 
 
 def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
@@ -955,11 +932,11 @@ def check_speed_bounds(spec: GamblerSpec, n_max: int) -> bool:
     decide every horizon.
     """
     o = _Orbits.of(spec)
-    pos = o.sums[0, :max(n_max, 0) + 1]  # row n is the position after n steps
+    pos = o.sums[:max(n_max, 0) + 1]  # row n is the position after n steps
     n = np.arange(len(pos))[:, None]
-    cyc = int(o.cyc[0])  # the bound times the cycle length, which keeps it integral
-    deviation = np.abs(pos * cyc - o.per_cycle[0] * n)
-    return bool(np.all(deviation <= len(spec.positional) * cyc))
+    # the bound times the cycle length, which keeps it integral
+    deviation = np.abs(pos * o.cyc - o.per_cycle * n)
+    return bool(np.all(deviation <= len(spec.positional) * o.cyc))
 
 
 # ---------------------------------------------------------------------------

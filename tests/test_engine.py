@@ -70,6 +70,13 @@ def test_positions_all_zero_movement():
     assert positions(frozen_gambler((0, 0)), [12345]) == [(0, 0)]
 
 
+@pytest.mark.parametrize("horizons", [[-1], [0, 5, -5], [-(10**30)]])
+def test_positions_refuse_a_negative_horizon(horizons):
+    """A negative horizon would index the orbit's prefix sums from the end."""
+    with pytest.raises(ValueError, match="negative horizon"):
+        positions(build_parity_gambler(2), horizons)
+
+
 def test_positions_match_step_by_step_recursion():
     for h in (1, 2, 3, 4):
         specs = [random_valid_gambler(seed, h) for seed in range(30)]

@@ -5,6 +5,7 @@ own run gives: the last log2 capital of its ``walk`` and both estimates of
 ``window_exponents``, compared as bytes.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -331,3 +332,74 @@ def test_random_populations_across_gathers(data, spans, members):
         assume(all(SHORTEST + i - 1 <= d < n for i, d in enumerate(deaths)))
         assume(all(b - a > SHORTEST + 4 for a, b in zip(deaths, deaths[1:])))
         assert_deaths_match(specs, deaths, n, len(members))
+
+
+# ---------------------------------------------------------------------------
+# one table per distinct orbit
+# ---------------------------------------------------------------------------
+
+def on_orbit(orbit, seed: int):
+    """A never-bankrupt gambler with the positional orbit of ``orbit`` and
+    the bets of ``orbit_gambler(seed, ...)``."""
+    bets = orbit_gambler(seed, orbit.head_count, 0, 1)
+    return dataclasses.replace(bets, positional=orbit.positional, initial_t=orbit.initial_t)
+
+
+def shared_orbit_population():
+    """60 gamblers over three orbits with 1, 2 and 3 heads, led by three
+    killers on the three-head orbit, the only gamblers on it."""
+    a, b, c = orbit_gambler(1, 1, 0, 1), orbit_gambler(2, 2, 2, 3), orbit_gambler(3, 3, 1, 4)
+    return killers([c] * 3) + [on_orbit((a, b)[i % 2], 100 + i) for i in range(57)]
+
+
+# the killers of ``shared_orbit_population`` die at these steps of
+# ``planted_runs(5, ...)``, all in the first of three gathers
+SHARED_DEATHS = [10, 700, 3000]
+
+
+def blocks_calls(specs, src, n) -> list[tuple[int, int]]:
+    """The codes per step and first step of each ``_Orbits.blocks`` call
+    that ``walk_population`` makes."""
+    calls, blocks = [], engine._Orbits.blocks
+
+    def counted(table, buf, start, stop, stride):
+        calls.append((table.width, start))
+        return blocks(table, buf, start, stop, stride)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine._Orbits, "blocks", counted)
+        walk_population(specs, src, n)
+    return calls
+
+
+def test_a_population_reads_each_live_orbit_once_per_gather():
+    """Gamblers on one orbit share its table, so a gather reads each
+    distinct live orbit's block values once; the three-head orbit is read
+    only in the first gather, in which its killers die."""
+    specs, n = shared_orbit_population(), 2 * engine.GATHER + 100
+    _, gather = gather_steps(specs)
+    assert 3 * gather > n > 2 * gather > SHARED_DEATHS[-1]
+    calls = blocks_calls(specs, array_source(planted_runs(5, n, SHARED_DEATHS, SHORTEST)), n)
+    assert sorted(calls) == sorted([(2, 0), (4, 0), (8, 0), (2, gather), (4, gather),
+                                    (2, 2 * gather), (4, 2 * gather)])
+    assert_deaths_match(specs, SHARED_DEATHS, n, 5)
+
+
+class ClearedBetweenDraws(list):
+    """Gamblers whose every iteration clears the orbit memo before each
+    one, so each compile of a gambler builds its own orbit table."""
+
+    def __iter__(self):
+        for spec in super().__iter__():
+            engine._orbit_table.cache_clear()
+            yield spec
+
+
+def test_equal_orbits_with_distinct_tables_walk_alike():
+    """Equal orbits with distinct tables are read once each, one column
+    apiece, and the population still matches one walk per gambler."""
+    specs, n = ClearedBetweenDraws(shared_orbit_population()), 2 * engine.GATHER + 100
+    bits = array_source(planted_runs(5, n, SHARED_DEATHS, SHORTEST))
+    assert [start for _, start in blocks_calls(specs, bits, n)].count(0) == len(specs)
+    run = assert_population_matches(specs, bits, n)
+    assert np.isfinite(run.log2_final).tolist() == [i >= 3 for i in range(len(specs))]
