@@ -8,7 +8,6 @@ the log domain.
 """
 
 from .core import (
-    Alphabet,
     GamblerSpec,
     ProbVector,
     PositionalState,

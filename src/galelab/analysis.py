@@ -18,13 +18,12 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import (
-    Alphabet,
     BANKRUPT_LOG2,
     BettingState,
     GamblerSpec,
@@ -164,13 +163,7 @@ class SweepBudget:
     seed: int = 0
 
     def to_obj(self) -> dict:
-        return {
-            "max_t": self.max_t,
-            "max_q": self.max_q,
-            "bet_denominator_max": self.bet_denominator_max,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # distinct sampled rows kept as shared objects: 44 for two symbols at the
@@ -211,7 +204,7 @@ def _sample_gambler(rng: random.Random, h: int, k: int,
         for i in range(n_q)
     }
     return GamblerSpec(
-        alphabet=Alphabet.from_size(k),
+        k=k,
         head_count=h,
         positional=positional,
         betting=betting,
@@ -337,12 +330,6 @@ class InstabilityReport:
     matrix: dict[str, dict[str, float]]
     averaged: dict[str, float]
     records: list[RunRecord]
-
-    def diagonal(self) -> list[float]:
-        return [self.matrix["fprime"]["X"], self.matrix["fdoubleprime"]["Z"]]
-
-    def off_diagonal(self) -> list[float]:
-        return [self.matrix["fprime"]["Z"], self.matrix["fdoubleprime"]["X"]]
 
     def to_objs(self) -> list[dict]:
         out = [{

@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import (
     BANKRUPT_LOG2,
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
@@ -88,15 +87,28 @@ def rounding_resolution(eps: Fraction) -> int:
 
     The combinator loses at most a factor ``1 - 2**(1-r)`` per symbol; the
     returned ``r`` is the least positive integer with
-    ``1 - 2**(1-r) >= 2**(-eps/2)``, decided in exact arithmetic (the
-    irrational right side is compared through integer powers).
+    ``1 - 2**(1-r) >= 2**(-eps/2)``, that is, whose loss
+    ``-log2(1 - 2**(1-r))`` is at most ``eps/2`` bits.  Each ``r`` is
+    decided by comparing the two in floats, each within a few ulp of its
+    value; only when they lie within a relative 2**-40 of each other is it
+    decided exactly, through integer powers (the irrational right side
+    cannot be formed).  Such a near-tie whose powers would exceed 2**24
+    bits is refused with ``ValueError``, as is an eps below every loss.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     half = eps / 2
     a, b = half.numerator, half.denominator
+    bound = float(min(half, 2))  # r = 2 loses 1 bit; a huge half would overflow
     for r in range(2, 257):  # r = 1 loses everything: 1 - 2**0 = 0
+        loss = -math.log1p(-2.0 ** (1 - r)) / math.log(2)
+        if abs(loss - bound) > bound * 2.0 ** -40:
+            if loss < bound:
+                return r
+            continue
+        if b * (r - 1) > 2 ** 24:
+            raise ValueError(f"eps={eps} is too near a resolution's loss to decide")
         num = 2 ** (r - 1) - 1
         # (num / 2^(r-1)) >= 2^(-a/b)  <=>  num^b * 2^a >= 2^(b*(r-1))
         if num ** b << a >= 1 << (b * (r - 1)):
@@ -135,7 +147,7 @@ def _block_gambler(block_prime_index: int, trailing_prime_indices: Sequence[int]
     betting["bet1"] = BettingState(ProbVector.point(2, 1), ("n1",) * n_codes)
 
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=heads,
         positional=positional,
         betting=betting,
@@ -181,7 +193,7 @@ def build_variant_gambler(h: int, variant: str) -> GamblerSpec:
 def _one_state(k: int, bets: ProbVector, name: str) -> GamblerSpec:
     """One-head gambler over ``k`` symbols placing ``bets`` at every step."""
     return GamblerSpec(
-        alphabet=Alphabet.from_size(k),
+        k=k,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(bets, ("q0",) * k)},
@@ -242,7 +254,7 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
-    if g1.alphabet != g2.alphabet:
+    if g1.k != g2.k:
         raise ValueError("cannot average gamblers over mismatched alphabets")
     if g1.initial_capital != 1 or g2.initial_capital != 1:
         raise ValueError("averaging assumes both initial capitals are 1")
@@ -307,7 +319,7 @@ def average_gamblers(g1: GamblerSpec, g2: GamblerSpec, eps: Fraction) -> Gambler
         rows[q_ids[triple]] = BettingState(bets, tuple(targets))
 
     return GamblerSpec(
-        alphabet=g1.alphabet,
+        k=k,
         head_count=h,
         positional=positional,
         betting=rows,

@@ -9,8 +9,8 @@ rational-valued bet on the next symbol).  Capital evolves by the fair
 multiplication rule: betting weight ``p`` on the realized symbol of a
 size-``k`` alphabet multiplies the capital by ``k * p``.
 
-This module holds the passive data types (an alphabet, which is its
-size, bet distributions, the gambler seven-tuple), their structural
+This module holds the passive data types (bet distributions and the
+gambler seven-tuple, whose alphabet is its size ``k``), their structural
 validation, exact rational helpers with the base-2 logarithm that
 capital is reported in, and the JSON wire format used to persist
 gamblers.  Simulation lives in :mod:`galelab.engine`; concrete winning
@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
-    "Alphabet",
     "ProbVector",
     "PositionalState",
     "BettingState",
@@ -40,8 +39,6 @@ __all__ = [
     "validate_gambler",
     "BANKRUPT_LOG2",
     "LOG2_ERROR",
-    "encode_symbol_vector",
-    "decode_symbol_code",
     "log2_fraction",
     "log2_ratio",
     "parse_rational",
@@ -159,21 +156,8 @@ def geq_pow2_scaled(x: Fraction, y: Fraction, shift_num: int, shift_den: int) ->
 
 
 # ---------------------------------------------------------------------------
-# alphabet and bet distributions
+# bet distributions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet of ``size`` symbols, each encoded by its index
-    ``0..size-1``: all file formats store symbol indices, so the size is
-    the whole alphabet."""
-
-    size: int
-
-    @classmethod
-    def from_size(cls, k: int) -> "Alphabet":
-        return cls(k)
-
 
 @dataclass(frozen=True)
 class ProbVector:
@@ -246,48 +230,30 @@ class BettingState:
     """One betting state: its bet distribution and full transition row.
 
     ``transitions[code]`` names the successor betting state for the
-    scanned symbol vector encoded by ``code`` (see
-    :func:`encode_symbol_vector`).
+    scanned symbols whose base-``k`` code is ``code``: the trailing-head
+    symbols in head order, then the leading-head symbol as the least
+    significant digit.
     """
 
     bets: ProbVector
     transitions: tuple[str, ...]
 
 
-def encode_symbol_vector(vec: Sequence[int], k: int) -> int:
-    """Encode a scanned symbol vector as a base-``k`` integer.
-
-    The vector lists the trailing-head symbols in head order followed by
-    the leading-head symbol; the first entry is the most significant
-    digit, so the leading symbol is the least significant one.
-    """
-    code = 0
-    for s in vec:
-        code = code * k + s
-    return code
-
-
-def decode_symbol_code(code: int, h: int, k: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_symbol_vector` for ``h`` symbols."""
-    out = [0] * h
-    for i in range(h - 1, -1, -1):
-        code, out[i] = divmod(code, k)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GamblerSpec:
     """An ``h``-head finite-state gambler.
 
-    Fields mirror the defining seven-tuple: the positional states with
-    their cyclic successor map and movement bits, the betting states
-    with their bet distributions and transition tables, the initial
-    state pair, and the initial capital.  The factored transition
-    (positional successor independent of the scanned symbols) is
-    structural: it is how the type is shaped, not a runtime check.
+    Fields mirror the defining seven-tuple: the alphabet, which is its
+    size ``k`` (symbols are the indices ``0..k-1``, as every file format
+    stores them), the positional states with their cyclic successor map
+    and movement bits, the betting states with their bet distributions
+    and transition tables, the initial state pair, and the initial
+    capital.  The factored transition (positional successor independent
+    of the scanned symbols) is structural: it is how the type is shaped,
+    not a runtime check.
     """
 
-    alphabet: Alphabet
+    k: int
     head_count: int
     positional: Mapping[str, PositionalState]
     betting: Mapping[str, BettingState]
@@ -295,10 +261,6 @@ class GamblerSpec:
     initial_q: str
     initial_capital: Fraction = Fraction(1)
     name: str = ""
-
-    @property
-    def k(self) -> int:
-        return self.alphabet.size
 
     def label(self) -> str:
         return self.name or f"gambler_h{self.head_count}"
@@ -352,8 +314,7 @@ def validate_gambler(spec: GamblerSpec) -> ValidationReport:
     (:attr:`ProbVector.faults`), however many states share it.
     """
     bad: list[Violation] = []
-    k = spec.alphabet.size
-    h = spec.head_count
+    k, h = spec.k, spec.head_count
     counts = _is_int(k) and _is_int(h)  # the row and move-bit counts need both
 
     if not _is_int(k):
@@ -443,7 +404,7 @@ def gambler_to_json(spec: GamblerSpec, config: dict | None = None) -> dict:
     doc = {
         "format": FORMAT_TAG,
         "name": spec.name,
-        "alphabet_size": spec.alphabet.size,
+        "alphabet_size": spec.k,
         "head_count": spec.head_count,
         "positional_states": [
             {"id": tid, "next": st.next_id, "move_bits": list(st.move_bits)}
@@ -484,9 +445,10 @@ def _integer(value, what: str) -> int:
 def gambler_from_json(doc: dict) -> GamblerSpec:
     """Rebuild a gambler from its JSON document (shape errors raise).
 
-    State ids, successors, transition targets and initial ids must be
-    strings, and the alphabet size, head count and move bits JSON
-    integers; anything else raises ``ValueError``."""
+    State ids, successors, transition targets, initial ids and the name
+    (``""`` when absent) must be strings, and the alphabet size, head
+    count and move bits JSON integers; anything else raises
+    ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError(f"not a {FORMAT_TAG} document")
     positional = {
@@ -503,14 +465,14 @@ def gambler_from_json(doc: dict) -> GamblerSpec:
         for st in doc["betting_states"]
     }
     return GamblerSpec(
-        alphabet=Alphabet.from_size(_integer(doc["alphabet_size"], "alphabet_size")),
+        k=_integer(doc["alphabet_size"], "alphabet_size"),
         head_count=_integer(doc["head_count"], "head_count"),
         positional=positional,
         betting=betting,
         initial_t=_state_id(doc["initial"]["t"], "initial t"),
         initial_q=_state_id(doc["initial"]["q"], "initial q"),
         initial_capital=parse_rational(doc["initial_capital"]),
-        name=doc.get("name", ""),
+        name=_state_id(doc.get("name", ""), "name"),
     )
 
 

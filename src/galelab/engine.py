@@ -125,10 +125,6 @@ class Capital:
             raise ValueError("capital is in log2 mode; exact value unavailable")
         return self.exact
 
-    @property
-    def is_bankrupt(self) -> bool:
-        return self.bits == BANKRUPT_LOG2
-
 
 @dataclass
 class RunTrace:
@@ -164,12 +160,6 @@ class RunTrace:
             return self.rows.log2
         return np.fromiter(_log2_runs(self.exact_capitals()), np.float64,
                            count=len(self.steps))
-
-    def all_in_win_count(self) -> int:
-        """Number of steps whose full-capital bet was on the realized symbol,
-        over every step of the run (subsampled rows included)."""
-        all_in = np.array(self.compiled.factors) == self.compiled.k
-        return int(self.rows.counts[all_in].sum())
 
     def log2_error_bound(self) -> float:
         """A bound, in bits, on the error of every finite value of

@@ -10,13 +10,49 @@ import numpy as np
 
 from galelab.analysis import SweepBudget, _sample_gambler
 from galelab.core import (
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
     ProbVector,
 )
+from galelab.engine import RunTrace
 from galelab.sequences import FileSource
+
+
+def encode_symbol_vector(vec, k: int) -> int:
+    """The reference code of a scanned symbol vector: the base-``k``
+    integer whose digits are the trailing-head symbols in head order, then
+    the leading-head symbol as the least significant digit."""
+    code = 0
+    for s in vec:
+        code = code * k + s
+    return code
+
+
+def decode_symbol_code(code: int, h: int, k: int) -> tuple[int, ...]:
+    """Inverse of ``encode_symbol_vector`` for ``h`` symbols."""
+    out = [0] * h
+    for i in range(h - 1, -1, -1):
+        code, out[i] = divmod(code, k)
+    return tuple(out)
+
+
+def all_in_wins(trace: RunTrace) -> int:
+    """Steps of the run whose full-capital bet was on the realized symbol,
+    read off the visit counts of every step (subsampled rows included)."""
+    g = trace.compiled
+    return int(trace.rows.counts[np.array(g.factors) == g.k].sum())
+
+
+def diagonal(report) -> list[float]:
+    """The matched entries of an instability matrix: each variant winner
+    on its own variant's sequence."""
+    return [report.matrix["fprime"]["X"], report.matrix["fdoubleprime"]["Z"]]
+
+
+def off_diagonal(report) -> list[float]:
+    """The mismatched entries: each variant winner on the other sequence."""
+    return [report.matrix["fprime"]["Z"], report.matrix["fdoubleprime"]["X"]]
 
 
 def array_source(bits, k: int = 2) -> FileSource:
@@ -30,7 +66,7 @@ def two_state_swing_gambler() -> GamblerSpec:
     Exercises log-domain arithmetic on bets whose logs are irrational.
     """
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={
@@ -48,7 +84,7 @@ def two_state_swing_gambler() -> GamblerSpec:
 def overbetting_gambler() -> GamblerSpec:
     """One state betting 3/4 on each symbol: bets sum to 3/2."""
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(

@@ -38,7 +38,7 @@ from galelab.sequences import (
     prng_source,
 )
 
-from gamblers import two_state_swing_gambler
+from gamblers import all_in_wins, diagonal, off_diagonal, two_state_swing_gambler
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -82,7 +82,7 @@ def test_gale_growth_rate():
     n = 100_000
     spec = build_parity_gambler(2)
     trace = run_martingale(spec, f_family(2, "F", prng_source(1)), n)
-    wins = trace.all_in_win_count()
+    wins = all_in_wins(trace)
     s = 1 - Fraction(1, 5) + eps
     gale_log2 = wins + (s - 1) * n  # doublings plus the exact scale shift
     threshold = eps * n - 2
@@ -187,9 +187,9 @@ def test_instability_matrix_window():
         report = instability_experiment(2, seed=seed, n=100_000,
                                         eps=Fraction(1, 10))
         print(f"  seed {seed}: matrix={report.matrix} averaged={report.averaged}")
-        for value in report.diagonal():
+        for value in diagonal(report):
             diag_ok = diag_ok and abs(value - 0.2) <= 0.01
-        for value in report.off_diagonal():
+        for value in off_diagonal(report):
             offdiag_values.append(value)
             offdiag_ok = (offdiag_ok and value == BANKRUPT_LOG2
                           and value <= 0.02)

@@ -21,6 +21,8 @@ from galelab.constructions import (
 )
 from galelab.sequences import constant_source, f_family, prng_source
 
+from gamblers import diagonal, off_diagonal
+
 
 # ---------------------------------------------------------------------------
 # dimension upper bounds
@@ -136,9 +138,9 @@ def test_encode_float_sentinels():
 
 def test_instability_pattern_matched_vs_mismatched():
     report = instability_experiment(2, seed=2, n=30_000, eps=Fraction(1, 10))
-    for value in report.diagonal():
+    for value in diagonal(report):
         assert abs(value - 0.2) <= 0.01
-    for value in report.off_diagonal():
+    for value in off_diagonal(report):
         # mismatched all-in boundary bets are coin flips; the first loss
         # bankrupts the run, so no growth survives the window
         assert value <= 0.02
@@ -151,7 +153,7 @@ def test_instability_diagonal_stable_across_seeds():
     for seed in (1, 2):
         report = instability_experiment(2, seed=seed, n=20_000,
                                         eps=Fraction(1, 10))
-        diagonals.append(tuple(round(v, 3) for v in report.diagonal()))
+        diagonals.append(tuple(round(v, 3) for v in diagonal(report)))
     assert diagonals[0] == diagonals[1]
 
 

@@ -165,7 +165,8 @@ def _parity_doc_with(change):
      "initial t ['x'] is not a string"),
     (_parity_doc_with(lambda d: d["betting_states"][0]["transitions"].__setitem__(0, ["q0"])),
      "transition target ['q0'] is not a string"),
-], ids=["initial t", "transition target"])
+    (_parity_doc_with(lambda d: d.update(name=["x"])), "name ['x'] is not a string"),
+], ids=["initial t", "transition target", "name"])
 def test_a_list_where_a_state_id_belongs_is_a_malformed_file(tmp_path, capsys, doc, reason):
     """Each once ended in "TypeError: unhashable type: 'list'"."""
     g = tmp_path / "g.json"
@@ -371,6 +372,18 @@ def test_library_refusals_come_before_any_output(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err == f"validation failure: {message}\n"
     assert sorted(tmp_path.iterdir()) == [seq]
+
+
+def test_combine_refuses_an_epsilon_below_every_resolution(tmp_path, capsys):
+    """1e-400 needs a grid finer than 2**-256; this once ended in an
+    ``OverflowError`` traceback from building 2**(2e400) as an integer."""
+    out = tmp_path / "out"
+    assert run("combine", "--g1", "uniform", "--g2", "uniform",
+               "--epsilon", "1e-400", "--out", str(out)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation failure: ")
+    assert not out.exists()
 
 
 def test_combine_refuses_a_negative_epsilon_given_apart(tmp_path, capsys):

@@ -22,7 +22,6 @@ import galelab.engine as engine
 from galelab.analysis import SweepBudget, _random_bets, adversarial_sweep
 from galelab.constructions import build_parity_gambler
 from galelab.core import (
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
@@ -47,7 +46,7 @@ def _clear_memos():
 
 def _one_state(weights, k: int = 2) -> GamblerSpec:
     return GamblerSpec(
-        alphabet=Alphabet.from_size(k),
+        k=k,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(ProbVector(tuple(weights)), ("q0",) * k)},

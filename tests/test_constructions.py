@@ -22,8 +22,6 @@ from galelab.constructions import (
 from galelab.core import (
     BettingState,
     ProbVector,
-    decode_symbol_code,
-    encode_symbol_vector,
     gambler_to_json,
     validate_gambler,
 )
@@ -39,7 +37,7 @@ from galelab.engine import (
 )
 from galelab.sequences import f_family, nth_prime, prng_source
 
-from gamblers import random_valid_gambler
+from gamblers import all_in_wins, decode_symbol_code, encode_symbol_vector, random_valid_gambler
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +82,35 @@ def test_dyadic_grid_size_and_closure():
 def test_rounding_resolution_examples():
     assert rounding_resolution(Fraction(1, 10)) == 6
     assert rounding_resolution(Fraction(2)) == 2
+    # each r is screened in floats first: 1e-6 once ran for minutes, and
+    # the float 0.1 (denominator 2**55) raised MemoryError
+    assert rounding_resolution(Fraction(1, 10 ** 6)) == 23
+    assert rounding_resolution(Fraction(1, 10 ** 9)) == 33
+    assert rounding_resolution(0.1) == 6
+
+
+def _resolution_by_integer_powers(eps: Fraction) -> int | None:
+    """The least r with ``num**b * 2**a >= 2**(b*(r-1))`` (``eps/2 = a/b``,
+    ``num = 2**(r-1) - 1``), tested for every r: the exact definition."""
+    a, b = (eps / 2).numerator, (eps / 2).denominator
+    return next((r for r in range(2, 257)
+                 if (2 ** (r - 1) - 1) ** b << a >= 1 << (b * (r - 1))), None)
+
+
+def test_rounding_resolution_matches_integer_powers():
+    for q in range(1, 100):
+        for p in range(1, 2 * q + 1):
+            eps = Fraction(p, q)
+            assert rounding_resolution(eps) == _resolution_by_integer_powers(eps), eps
+
+
+@pytest.mark.parametrize("eps, message", [
+    (Fraction("1e-400"), "no resolution below 257"),
+    (2 - Fraction(1, 10 ** 13), "too near a resolution's loss"),
+], ids=["below every loss", "near-tie"])
+def test_rounding_resolution_refuses_what_it_cannot_decide(eps, message):
+    with pytest.raises(ValueError, match=message):
+        rounding_resolution(eps)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -143,7 +170,7 @@ def test_parity_gambler_boundary_bets_always_win():
             else:
                 assert bet == Fraction(1, 2)
         assert wins == -(-500 // p) - 1
-        assert trace.all_in_win_count() == wins
+        assert all_in_wins(trace) == wins
 
 
 def test_variant_gamblers_shape_and_speeds():

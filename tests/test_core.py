@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 
 from galelab.core import (
     BANKRUPT_LOG2,
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
     ProbVector,
-    decode_symbol_code,
-    encode_symbol_vector,
     format_rational,
     frac_geq_product,
     gambler_from_json,
@@ -38,7 +35,7 @@ from galelab.constructions import (
 from galelab.engine import compile_gambler, run_martingale
 from galelab.sequences import constant_source
 
-from gamblers import array_source, random_valid_gambler
+from gamblers import array_source, decode_symbol_code, encode_symbol_vector, random_valid_gambler
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +141,7 @@ def test_parity_gambler_validates_clean():
 
 def _tiny_spec(bets: ProbVector, move_bits=(0,)) -> GamblerSpec:
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=2,
         positional={"t0": PositionalState("t0", move_bits)},
         betting={"q0": BettingState(bets, tuple("q0" for _ in range(4)))},
@@ -172,7 +169,7 @@ def test_wrong_move_bits_length_reports_the_state():
 
 def test_dangling_transition_target_named_with_code():
     spec = GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(ProbVector.uniform(2), ("q0", "q9"))},
@@ -184,7 +181,7 @@ def test_dangling_transition_target_named_with_code():
 
 
 @pytest.mark.parametrize("changes, messages", [
-    ({"alphabet": Alphabet.from_size(1)},
+    ({"k": 1},
      ["alphabet: size 1 < 2", "betting[q0]: bet row has 2 entries, expected 1",
       "betting[q0]: transition table has 4 rows, expected k^h = 1^2"]),
     ({"head_count": 0},
@@ -213,7 +210,7 @@ def test_each_violation_is_reported_in_its_words(changes, messages):
 @pytest.mark.parametrize("changes, fault", [
     ({"head_count": 2.0}, "head_count: 2.0 is not an int"),
     ({"head_count": True}, "head_count: True is not an int"),
-    ({"alphabet": Alphabet(2.0)}, "alphabet: size 2.0 is not an int"),
+    ({"k": 2.0}, "alphabet: size 2.0 is not an int"),
     ({"initial_capital": 1.0}, "initial_capital: 1.0 is not an int or Fraction"),
 ], ids=["float head count", "bool head count", "float alphabet", "float capital"])
 def test_an_inexact_number_is_refused_before_the_walk(changes, fault):
@@ -269,7 +266,7 @@ def test_deterministic_bet_doubles():
 def test_zero_bet_bankrupts_log_mode():
     assert compile_gambler(single_minded_gambler(0)).log_rows[0, 1] == BANKRUPT_LOG2
     c = run_martingale(single_minded_gambler(0), constant_source(1), 1).final_capital
-    assert c.is_bankrupt
+    assert c.bits == BANKRUPT_LOG2
     assert c.log2() == float("-inf")
 
 
@@ -280,7 +277,7 @@ def test_bankruptcy_is_absorbing():
     exact = run_martingale(single_minded_gambler(0), src, 5, mode="exact")
     assert (log.log2_capitals() == BANKRUPT_LOG2).tolist() == [False] + [True] * 4
     assert list(exact.exact_capitals()) == [2, 0, 0, 0, 0]
-    assert exact.final_capital.is_bankrupt
+    assert exact.final_capital.bits == BANKRUPT_LOG2
     assert exact.final_capital.log2() == float("-inf")
 
 
@@ -308,7 +305,7 @@ def test_exact_and_log_modes_agree(bet_seq):
 def test_bet_weight_outside_unit_interval_rejected():
     """Weights (3/2, -1/2) sum to 1, so only the sign of one is wrong."""
     spec = GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(
@@ -337,6 +334,15 @@ def test_gambler_json_round_trip(tmp_path):
 def test_gambler_json_rejects_foreign_documents():
     with pytest.raises(ValueError):
         gambler_from_json({"format": "something-else"})
+
+
+def test_gambler_json_name_must_be_a_string():
+    """A list name once passed validation and reached reports as a list."""
+    doc = gambler_to_json(uniform_gambler())
+    with pytest.raises(ValueError, match=r"name \['x'\] is not a string"):
+        gambler_from_json({**doc, "name": ["x"]})
+    del doc["name"]
+    assert gambler_from_json(doc).name == ""
 
 
 @settings(max_examples=25, derandomize=True)

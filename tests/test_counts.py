@@ -20,7 +20,7 @@ from galelab.constructions import build_parity_gambler, single_minded_gambler
 from galelab.engine import compile_gambler, run_martingale, walk
 from galelab.sequences import f_family, prng_source
 
-from gamblers import random_valid_gambler, two_state_swing_gambler
+from gamblers import all_in_wins, random_valid_gambler, two_state_swing_gambler
 
 
 def _non_dyadic(x: Fraction) -> bool:
@@ -98,7 +98,7 @@ def test_all_in_wins_count_every_step_of_a_subsampled_run(monkeypatch):
     wins = sum(spec.betting[g.state_ids[q]].bets[s] == 1
                for q, s in zip(w.states.tolist(), w.symbols.tolist()))
     assert wins == -(-n // 5) - 1
-    assert trace.all_in_win_count() == wins
+    assert all_in_wins(trace) == wins
 
 
 def _mpmath_log2(spec, g, counts) -> mpmath.mpf:

@@ -1,6 +1,8 @@
 """Simulation, exponents, brute-force identity checks, and speeds."""
 
+import functools
 import io
+import types
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galelab
+import galelab.analysis as analysis
+import galelab.core as core
 import galelab.engine as engine
 from galelab.core import (
-    Alphabet,
+    BANKRUPT_LOG2,
     BettingState,
     GamblerSpec,
     PositionalState,
@@ -44,7 +49,7 @@ from gamblers import array_source, random_valid_gambler, two_state_swing_gambler
 def frozen_gambler(move_bits=(0, 0)) -> GamblerSpec:
     """Three-head gambler whose trailing heads move per one fixed bit vector."""
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=3,
         positional={"t0": PositionalState("t0", tuple(move_bits))},
         betting={"q0": BettingState(ProbVector.uniform(2),
@@ -128,7 +133,7 @@ def test_parity_gambler_capital_independent_of_inner_sequence():
 def test_all_in_gambler_bankrupts_at_first_loss():
     trace = run_martingale(single_minded_gambler(0), constant_source(1), 10)
     assert trace.log2_capitals()[0] == float("-inf")
-    assert trace.final_capital.is_bankrupt
+    assert trace.final_capital.bits == BANKRUPT_LOG2
 
 
 def test_trace_capital_recursion_and_positions_bound():
@@ -293,7 +298,7 @@ def test_martingale_property_uniform():
 
 def test_martingale_property_detects_unfair_rows():
     spec = GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=1,
         positional={"t0": PositionalState("t0", ())},
         betting={"q0": BettingState(
@@ -339,7 +344,7 @@ def preperiod_gambler() -> GamblerSpec:
         "d": PositionalState("d", (1,)),
     }
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=2,
         positional=positional,
         betting={"q0": BettingState(ProbVector.uniform(2),
@@ -371,7 +376,7 @@ def test_speed_bounds_detect_wrong_cycle_claim():
         "b": PositionalState("b", (0,)),
     }
     spec = GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=2,
         positional=positional,
         betting={"q0": BettingState(ProbVector.uniform(2),
@@ -436,3 +441,68 @@ def test_engine_public_surface_is_pinned():
     assert len(engine.__all__) == len(ENGINE_API)
     assert set(engine.__all__) == ENGINE_API
     assert all(hasattr(engine, name) for name in ENGINE_API)
+
+
+CORE_API = {
+    "ProbVector", "ProbVector.uniform", "ProbVector.point", "ProbVector.from_strings",
+    "ProbVector.total", "ProbVector.faults", "ProbVector.fair",
+    "PositionalState", "BettingState", "GamblerSpec", "GamblerSpec.label",
+    "Violation", "ValidationReport", "ValidationReport.ok", "validate_gambler",
+    "BANKRUPT_LOG2", "LOG2_ERROR", "log2_fraction", "log2_ratio", "parse_rational",
+    "format_rational", "frac_geq_product", "geq_pow2_scaled", "gambler_to_json",
+    "gambler_from_json", "save_gambler", "load_gambler",
+}
+
+ANALYSIS_API = {
+    "RunRecord", "RunRecord.to_obj", "upper_bound", "DimensionReport",
+    "DimensionReport.aggregate", "DimensionReport.to_objs", "estimate_predim_upper",
+    "SweepBudget", "SweepBudget.to_obj", "SweepReport", "SweepReport.best_overall_id",
+    "SweepReport.best_sampled_id", "SweepReport.max_sampled_exponent",
+    "SweepReport.to_objs", "adversarial_sweep", "InstabilityReport",
+    "InstabilityReport.to_objs", "instability_experiment", "encode_float", "write_jsonl",
+}
+
+# the package re-exports names from its modules; their classes are pinned there
+PACKAGE_API = {
+    "GamblerSpec", "ProbVector", "PositionalState", "BettingState", "ValidationReport",
+    "Violation", "validate_gambler", "gambler_to_json", "gambler_from_json",
+    "save_gambler", "load_gambler",
+    "ExpansionSet", "SequenceSource", "SourceExhausted", "constant_source",
+    "expand_index", "f_family", "max_supported_h", "nth_prime", "prng_source",
+    "read_sequence", "verify_parity_structure", "write_sequence",
+    "RunTrace", "SpeedProfile", "check_martingale_property", "check_speed_bounds",
+    "measure_speeds", "positions", "run_martingale", "sgale_log2", "success_exponent",
+    "window_exponents", "write_trajectory_csv",
+    "AveragingAudit", "average_gamblers", "averaging_audit", "build_parity_gambler",
+    "build_variant_gambler", "round_dyadic", "rounding_resolution",
+    "single_minded_gambler", "uniform_gambler",
+    "DimensionReport", "InstabilityReport", "SweepBudget", "SweepReport",
+    "adversarial_sweep", "estimate_predim_upper", "instability_experiment",
+}
+
+
+def _surface(module) -> set[str]:
+    """A module's exported names (its ``__all__``, or else its public
+    non-module attributes), and ``Class.name`` for each public method or
+    property of each class that it both defines and exports."""
+    names = set(getattr(module, "__all__", ())) or {
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    kinds = (property, classmethod, functools.cached_property)
+    for name in list(names):
+        cls = getattr(module, name)
+        if isinstance(cls, type) and cls.__module__ == module.__name__:
+            names |= {f"{name}.{attr}" for attr, value in vars(cls).items()
+                      if not attr.startswith("_") and (callable(value) or isinstance(value, kinds))}
+    return names
+
+
+@pytest.mark.parametrize("module, api", [
+    (core, CORE_API), (analysis, ANALYSIS_API), (galelab, PACKAGE_API),
+], ids=["core", "analysis", "galelab"])
+def test_public_surface_is_pinned(module, api):
+    """Adding or removing a public name, or a public method of an exported
+    class, is a deliberate change to these sets, as to ``ENGINE_API``."""
+    exported = getattr(module, "__all__", [])
+    assert len(exported) == len(set(exported))  # no name listed twice
+    assert _surface(module) == api

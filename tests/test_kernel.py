@@ -22,12 +22,10 @@ import galelab.engine as engine
 from galelab.analysis import SweepBudget, _sample_gambler
 from galelab.core import (
     BANKRUPT_LOG2,
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
     ProbVector,
-    encode_symbol_vector,
     log2_fraction,
 )
 from galelab.constructions import (
@@ -49,6 +47,7 @@ from galelab.sequences import constant_source, f_family, prng_source
 
 from gamblers import (
     array_source,
+    encode_symbol_vector,
     overbetting_gambler,
     random_valid_gambler,
     two_state_swing_gambler,
@@ -247,7 +246,7 @@ def ring_gambler(states: int, all_in: bool) -> GamblerSpec:
                for i, q in enumerate(ids)}
     if all_in:
         betting[ids[-1]] = BettingState(ProbVector.point(2, 0), betting[ids[-1]].transitions)
-    return GamblerSpec(alphabet=Alphabet.from_size(2), head_count=1,
+    return GamblerSpec(k=2, head_count=1,
                        positional={"t0": PositionalState("t0", ())}, betting=betting,
                        initial_t="t0", initial_q=ids[0])
 
@@ -306,7 +305,7 @@ def test_runs_reject_an_invalid_gambler(run):
 
 def test_compile_names_every_violation():
     spec = overbetting_gambler()
-    bad = GamblerSpec(spec.alphabet, 1, spec.positional, spec.betting,
+    bad = GamblerSpec(spec.k, 1, spec.positional, spec.betting,
                       "t0", "missing")
     with pytest.raises(ValueError, match="sum to 3/2.*'missing' unknown"):
         compile_gambler(bad)
@@ -378,7 +377,7 @@ def runaway_gambler(pre: list[int], cycle: list[int]) -> GamblerSpec:
     ids = [f"t{i}" for i in range(len(pre) + len(cycle))]
     nxt = ids[1:] + [ids[len(pre)]]
     return GamblerSpec(
-        alphabet=Alphabet.from_size(2),
+        k=2,
         head_count=2,
         positional={t: PositionalState(u, (b,))
                     for t, u, b in zip(ids, nxt, pre + cycle)},

@@ -11,7 +11,6 @@ import galelab.engine as engine
 from galelab.analysis import SweepBudget, _sample_gambler
 from galelab.constructions import uniform_gambler
 from galelab.core import (
-    Alphabet,
     BettingState,
     GamblerSpec,
     PositionalState,
@@ -88,7 +87,7 @@ def _gambler(k: int, h: int, rows: dict, positional=None, **kw) -> GamblerSpec:
     positional = positional or {"t0": PositionalState("t0", (0,) * (h - 1))}
     betting = {q: BettingState(ProbVector(tuple(map(Fraction, w))), tuple(t))
                for q, (w, t) in rows.items()}
-    return GamblerSpec(Alphabet.from_size(k), h, positional, betting,
+    return GamblerSpec(k, h, positional, betting,
                        "t0", next(iter(rows)), **kw)
 
 

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galelab.core import encode_symbol_vector
 from galelab.engine import _Orbits
 
-from gamblers import orbit_gambler
+from gamblers import encode_symbol_vector, orbit_gambler
 
 
 def reference_blocks(spec, buf, start: int, stop: int, stride: int) -> list[int]:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import galelab.engine as engine
 from galelab import cli
 from galelab.constructions import build_parity_gambler, single_minded_gambler
-from galelab.core import log2_fraction
+from galelab.core import BANKRUPT_LOG2, log2_fraction
 from galelab.engine import (
     CSV_ROWS,
     compile_gambler,
@@ -104,7 +104,7 @@ def test_block_csv_matches_on_bankrupt_runs():
     src = f_family(2, "F", prng_source(4))
     for spec in (single_minded_gambler(0), random_valid_gambler(11, 2)):
         trace = run_martingale(spec, src, 3 * CSV_ROWS + 5)
-        assert trace.final_capital.is_bankrupt
+        assert trace.final_capital.bits == BANKRUPT_LOG2
         assert ",-inf," in assert_same_csv(trace)
 
 
@@ -128,7 +128,7 @@ def test_block_csv_matches_on_integral_exact_log2_columns():
         log2 = trace.log2_capitals()
         finite = log2[np.isfinite(log2)]
         assert len(np.unique(finite)) > 5 and np.all(finite == np.trunc(finite))
-        assert trace.final_capital.is_bankrupt == bankrupts
+        assert (trace.final_capital.bits == BANKRUPT_LOG2) == bankrupts
         assert (",-inf," in assert_same_csv(trace)) == bankrupts
 
 
